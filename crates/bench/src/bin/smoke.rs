@@ -1,7 +1,8 @@
 //! Fast Table-1 smoke bench for CI: runs a ≤60 s subset of the suite at the paper
-//! configuration and fails on any *status* regression (tight rows must stay tight)
-//! or on a >2x per-row *time* regression against the committed `BENCH_table1.json`
-//! baseline.
+//! configuration and fails on any *status* regression (tight rows must stay tight),
+//! on a >2x per-row *time* regression against the committed `BENCH_table1.json`
+//! baseline, or on any difference in a row's deterministic counters (float and exact
+//! pivots, LU refactorizations, generated products) from that baseline.
 //!
 //! The subset (SimpleSingle, SimpleSingle2, Dis2, sum, ddec, ddec modified) covers a
 //! non-zero tight threshold, the once-regressed sequential-loop shape, a two-counter
@@ -12,6 +13,11 @@
 //!
 //! Usage: `cargo run --release -p dca-bench --bin smoke`
 //! Exit code 0 = all subset rows tight; 1 = regression (details on stderr).
+//!
+//! The counter gate is exact: a kernel change that should not move a pivot fails it
+//! when it does. It is skipped when a `DCA_*` switch selects a different solver
+//! configuration (`DCA_LP_NO_ROWGEN`, `DCA_NO_SPLIT`, ...), whose counters the
+//! baseline does not record.
 //!
 //! Under `DCA_FAULT=<phase>:<kind>` the bin switches to *fault-injection mode*: the
 //! injected fault must degrade exactly one row to a machine-distinguishable
@@ -24,8 +30,8 @@ use std::process::exit;
 use std::time::Duration;
 
 use dca_bench::{
-    format_table, parse_baseline_cpu_seconds, parse_baseline_seconds, run_suite_filtered,
-    time_regressions,
+    counter_mismatches, format_table, parse_baseline_cpu_seconds, parse_baseline_seconds,
+    run_suite_filtered, time_regressions,
 };
 use dca_benchmarks::SuiteConfig;
 use dca_core::InvariantTier;
@@ -64,10 +70,11 @@ fn main() {
     // before the cpu_seconds key existed fall back to the wall-clock entries.
     const TIME_REGRESSION_FACTOR: f64 = 2.0;
     const TIME_FLOOR_SECONDS: f64 = 0.5;
-    let baseline: Vec<(String, f64)> = match std::fs::read_to_string("BENCH_table1.json") {
+    let baseline_json = std::fs::read_to_string("BENCH_table1.json");
+    let baseline: Vec<(String, f64)> = match &baseline_json {
         Ok(json) => {
-            let cpu = parse_baseline_cpu_seconds(&json);
-            if cpu.is_empty() { parse_baseline_seconds(&json) } else { cpu }
+            let cpu = parse_baseline_cpu_seconds(json);
+            if cpu.is_empty() { parse_baseline_seconds(json) } else { cpu }
         }
         Err(error) => {
             // Say so loudly: a silently-skipped gate that still prints success is
@@ -83,6 +90,7 @@ fn main() {
 
     let mut regressions = Vec::new();
     let mut timed_rows = Vec::new();
+    let mut counted_rows = Vec::new();
     for name in SUBSET {
         match run.rows.iter().find(|row| row.name == name) {
             // Every subset row was certified-tight at its baseline commit, so a row
@@ -90,6 +98,7 @@ fn main() {
             // when its anytime bound happens to equal the tight threshold.
             Some(row) if row.is_tight() && row.outcome == "certified" => {
                 timed_rows.push((row.name.clone(), row.cpu_seconds));
+                counted_rows.push(row);
             }
             Some(row) => regressions.push(format!(
                 "{name}: expected certified-tight ({}), computed {:?} ({})",
@@ -107,6 +116,17 @@ fn main() {
         TIME_FLOOR_SECONDS,
     );
     regressions.extend(time_regs);
+    // Exact counter gate, against the same baseline file. A `DCA_*` switch selects
+    // a different solver configuration whose counters the baseline does not hold.
+    let switch = std::env::vars().map(|(name, _)| name).find(|name| name.starts_with("DCA_"));
+    let counter_gate = match (&baseline_json, &switch) {
+        (Ok(json), None) => {
+            regressions.extend(counter_mismatches(&counted_rows, json));
+            "counters equal to their baselines".to_string()
+        }
+        (Ok(_), Some(name)) => format!("counter gate skipped: {name} is set"),
+        (Err(_), _) => "counter gate skipped: no baseline".to_string(),
+    };
     if !regressions.is_empty() {
         eprintln!("smoke bench FAILED:");
         for regression in &regressions {
@@ -116,12 +136,14 @@ fn main() {
     }
     if baseline.is_empty() {
         println!(
-            "smoke bench OK: all {} subset rows tight (time gate skipped: no baseline)",
+            "smoke bench OK: all {} subset rows tight (time gate skipped: no baseline; \
+             {counter_gate})",
             SUBSET.len()
         );
     } else {
         println!(
-            "smoke bench OK: all {} subset rows tight, within {}x of their time baselines",
+            "smoke bench OK: all {} subset rows tight, within {}x of their time baselines, \
+             {counter_gate}",
             SUBSET.len(),
             TIME_REGRESSION_FACTOR
         );

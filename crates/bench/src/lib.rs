@@ -504,6 +504,33 @@ pub fn time_regressions(
     (regressions, covered)
 }
 
+/// The exact counter gate of the smoke bin: one message per deterministic counter of
+/// `rows` (float and exact pivots, LU refactorizations, generated products) that
+/// differs from its entry in the committed `BENCH_table1.json` document `json`, or
+/// that the document lacks. These counts repeat bit for bit from run to run, so any
+/// difference means a change moved a pivot.
+pub fn counter_mismatches(rows: &[&TableRow], json: &str) -> Vec<String> {
+    let mut mismatches = Vec::new();
+    for row in rows {
+        let counters = [
+            ("lp_float_pivots", row.lp_float_iterations),
+            ("lp_exact_pivots", row.lp_exact_iterations),
+            ("lu_refactorizations", row.lu_refactorizations),
+            ("products_generated", row.products_generated),
+        ];
+        for (key, value) in counters {
+            let baseline = parse_baseline_field(json, key);
+            match baseline.iter().find(|(name, _)| *name == row.name) {
+                Some((_, expected)) if *expected == value as f64 => {}
+                Some((_, expected)) => mismatches
+                    .push(format!("{}: {key} = {value}, baseline {expected}", row.name)),
+                None => mismatches.push(format!("{}: no baseline {key}", row.name)),
+            }
+        }
+    }
+    mismatches
+}
+
 /// Today's date as `YYYY-MM-DD` from the system clock (no external time crates:
 /// Howard Hinnant's civil-from-days algorithm over the Unix epoch).
 pub fn today_utc() -> String {

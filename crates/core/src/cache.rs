@@ -203,7 +203,9 @@ impl SolveCache {
     /// location counts on both sides, and more than half of the per-location
     /// sub-fingerprints unchanged. Returns its basis rebadged to the querying
     /// pair's fingerprint, plus the changed-location count. `None` when nothing is
-    /// close enough for a warm start to plausibly help.
+    /// close enough for a warm start to plausibly help. Equally near entries are
+    /// told apart by the lowest pair fingerprint, so the choice never depends on
+    /// map iteration order or on the order the entries were inserted.
     pub fn nearest_basis(
         &self,
         new: &AnalyzedProgram,
@@ -214,7 +216,7 @@ impl SolveCache {
         let new_locations = new.location_fingerprints();
         let old_locations = old.location_fingerprints();
         let total = new_locations.len() + old_locations.len();
-        let mut best: Option<(usize, LpBasis)> = None;
+        let mut best: Option<((usize, u64), LpBasis)> = None;
         for shard in &self.shards {
             let shard = shard.lock().unwrap_or_else(PoisonError::into_inner);
             for (key, entry) in shard.values().flatten() {
@@ -230,12 +232,13 @@ impl SolveCache {
                 if changed * 2 >= total {
                     continue;
                 }
-                if best.as_ref().is_none_or(|(best_changed, _)| changed < *best_changed) {
-                    best = Some((changed, basis.clone()));
+                let rank = (changed, key.pair);
+                if best.as_ref().is_none_or(|(best_rank, _)| rank < *best_rank) {
+                    best = Some((rank, basis.clone()));
                 }
             }
         }
-        best.map(|(changed_locations, basis)| NearMatch {
+        best.map(|((changed_locations, _), basis)| NearMatch {
             basis: basis.rebadged(pair_fingerprint(new, old)),
             changed_locations,
         })
@@ -405,6 +408,43 @@ mod tests {
             warm_result.threshold.to_bits(),
             cold_result.unwrap().threshold.to_bits()
         );
+    }
+
+    /// Two cached ancestors exactly as near to the query (one changed location
+    /// each) with different bases: whichever order they are inserted in, the one
+    /// with the lower pair fingerprint lends its basis.
+    #[test]
+    fn nearest_basis_breaks_ties_by_the_lowest_pair_fingerprint() {
+        let programs = ProgramCache::new();
+        let compile = |tick| programs.get_or_compile(&source(tick), InvariantTier::Baseline).unwrap();
+        let (old, query, left, right) = (compile(1), compile(2), compile(3), compile(4));
+        let options = AnalysisOptions::default();
+        let (result, solved_basis) =
+            DiffCostSolver::new(options).solve_with_warm_start(&left, &old, None);
+        let result = result.unwrap();
+        // The right entry carries a distinguishable (empty) basis, so the test sees
+        // which entry won.
+        let left_basis = solved_basis.expect("a certified solve returns its basis");
+        let right_basis = LpBasis::default();
+        let winner = if pair_fingerprint(&left, &old) < pair_fingerprint(&right, &old) {
+            &left_basis
+        } else {
+            &right_basis
+        };
+        let expected = winner.clone().rebadged(pair_fingerprint(&query, &old));
+        for left_first in [true, false] {
+            let cache = SolveCache::new();
+            let mut inserts = [(&left, &left_basis), (&right, &right_basis)];
+            if !left_first {
+                inserts.reverse();
+            }
+            for (new, basis) in inserts {
+                cache.insert(new, &old, &options, &result, Some(basis.clone()));
+            }
+            let near = cache.nearest_basis(&query, &old, &options).expect("both entries are near");
+            assert_eq!(near.changed_locations, 1);
+            assert_eq!(near.basis, expected, "left inserted first: {left_first}");
+        }
     }
 
     #[test]

@@ -112,7 +112,7 @@ pub(crate) fn factorize_markowitz<S: Scalar>(
         work_col_id.push(col);
     }
 
-    let mut factor = Factorization { etas: Vec::new(), basis: vec![usize::MAX; m] };
+    let mut factor = Factorization::new(vec![usize::MAX; m]);
     let mut assigned = vec![false; m];
     let mut processed = vec![false; work.len()];
     let mut dropped_cols = Vec::new();
@@ -122,13 +122,20 @@ pub(crate) fn factorize_markowitz<S: Scalar>(
     // rows; `row_count[i]` = non-zeros of row `i` across unprocessed working columns.
     let mut col_count: Vec<usize> = work.iter().map(Vec::len).collect();
     let mut row_count = vec![0usize; m];
-    for col in &work {
+    // `row_cols[i]`: the working columns that hold, or once held, an entry on row
+    // `i` (an exact cancellation leaves a stale member, a later fill-in a repeated
+    // one). Each elimination visits only the columns on its pivot row.
+    let mut row_cols: Vec<Vec<usize>> = vec![Vec::new(); m];
+    for (k, col) in work.iter().enumerate() {
         for (row, _) in col {
             row_count[*row] += 1;
+            row_cols[*row].push(k);
         }
     }
+    // The elimination step that last updated each working column (skips repeats).
+    let mut updated_at = vec![usize::MAX; work.len()];
 
-    for _ in 0..work.len() {
+    for step in 0..work.len() {
         // Columns with no active entry are dependent on the ones already processed:
         // drop them now so the candidate scan never stalls on them.
         for k in 0..work.len() {
@@ -148,8 +155,13 @@ pub(crate) fn factorize_markowitz<S: Scalar>(
         if candidates.is_empty() {
             break;
         }
-        candidates.sort_by_key(|&k| (col_count[k], k));
-        candidates.truncate(CANDIDATE_COLS);
+        // The keys are distinct, so selecting the smallest few and sorting just
+        // those gives the same candidates in the same order as a full sort.
+        if candidates.len() > CANDIDATE_COLS {
+            candidates.select_nth_unstable_by_key(CANDIDATE_COLS - 1, |&k| (col_count[k], k));
+            candidates.truncate(CANDIDATE_COLS);
+        }
+        candidates.sort_unstable_by_key(|&k| (col_count[k], k));
         let mut best: Option<(usize, usize, usize)> = None; // (cost, col k, row)
         for &k in &candidates {
             for (row, _) in &work[k] {
@@ -204,12 +216,16 @@ pub(crate) fn factorize_markowitz<S: Scalar>(
         factor.basis[pivot_row] = work_col_id[k];
 
         // Apply the eta to every other unprocessed column (Jordan elimination):
-        // x[pivot] := x[pivot]/p, then x[i] -= others[i] · x[pivot].
-        for (j, col) in work.iter_mut().enumerate() {
-            if processed[j] {
+        // x[pivot] := x[pivot]/p, then x[i] -= others[i] · x[pivot]. Only columns
+        // with an entry on the pivot row change; each update touches its own column
+        // and adds to the shared counts, so the visiting order does not matter.
+        for j in std::mem::take(&mut row_cols[pivot_row]) {
+            if processed[j] || updated_at[j] == step {
                 continue;
             }
-            let Some(position) = col.iter().position(|(row, _)| *row == pivot_row) else {
+            updated_at[j] = step;
+            let col = &mut work[j];
+            let Ok(position) = col.binary_search_by_key(&pivot_row, |(row, _)| *row) else {
                 continue;
             };
             let t = col[position].1.div(&eta.pivot_value);
@@ -254,6 +270,7 @@ pub(crate) fn factorize_markowitz<S: Scalar>(
                         if !assigned[rb] {
                             col_count[j] += 1;
                             row_count[rb] += 1;
+                            row_cols[rb].push(j);
                         }
                         merged.push((rb, value));
                         b += 1;
@@ -264,7 +281,7 @@ pub(crate) fn factorize_markowitz<S: Scalar>(
             *col = merged;
         }
 
-        factor.etas.push(eta);
+        factor.push(eta);
     }
 
     for (k, done) in processed.iter().enumerate() {
@@ -297,7 +314,7 @@ pub(crate) fn factorize_markowitz<S: Scalar>(
             .map(|(i, v)| (i, v.clone()))
             .collect();
         fill += 1 + others.len();
-        factor.etas.push(Eta {
+        factor.push(Eta {
             pivot: pivot_row,
             pivot_value: scratch[pivot_row].clone(),
             others,
@@ -460,10 +477,7 @@ mod tests {
             // Start from the all-artificial basis (always nonsingular) and walk a
             // random pivot sequence, mirroring the simplex's update exactly:
             // d = B⁻¹·A_entering, replace the basis column at a row where d ≠ 0.
-            let mut factor = Factorization {
-                etas: Vec::new(),
-                basis: (n..n + m).collect(),
-            };
+            let mut factor = Factorization::new((n..n + m).collect());
             let b: Vec<Rational> = (0..m).map(|i| r(next() % 9 - 4, i as i64 + 1)).collect();
             let costs: Vec<Rational> = (0..m).map(|_| r(next() % 5 - 2, 1)).collect();
             let mut pivots = 0;
@@ -530,6 +544,76 @@ mod tests {
                 );
             }
             assert!(pivots >= 10, "seed {seed}: fuzz must exercise real pivots");
+        }
+    }
+
+    /// `btran_unit(r)` equals the dense `btran` of `e_r` for every row, exactly, on
+    /// the three kinds of eta file the simplex produces: a fresh Markowitz
+    /// factorization, that file after a run of `push_eta` appends, and the file of a
+    /// refactorization of the pivoted basis, whose row index is rebuilt from scratch
+    /// and then appended to again.
+    #[test]
+    fn btran_unit_matches_dense_btran_of_unit_vectors() {
+        let mut state = 0x1319_8a2e_0370_7344u64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as i64
+        };
+        let check = |factor: &Factorization<Rational>, m: usize, context: &str| {
+            for r in 0..m {
+                let mut dense = vec![Rational::zero(); m];
+                dense[r] = Rational::one();
+                factor.btran(&mut dense);
+                assert_eq!(factor.btran_unit(r), dense, "{context}: row {r}");
+            }
+        };
+        for seed in 0..4 {
+            let m = 8 + 2 * seed as usize; // 8..=14 rows
+            let n = 2 * m;
+            // Sparse random matrix: about a third of the entries non-zero, so unit
+            // BTRANs reach only part of the eta file.
+            let mut matrix = vec![vec![Rational::zero(); n]; m];
+            for row in matrix.iter_mut() {
+                for value in row.iter_mut() {
+                    if next() % 3 == 0 {
+                        *value = r(next() % 9 - 4, next() % 4 + 1);
+                    }
+                }
+            }
+            let cols = columns(matrix);
+            let mut factor = factorize_markowitz(&cols, &(0..n).collect::<Vec<_>>()).factor;
+            check(&factor, m, &format!("seed {seed}, fresh"));
+            // Two runs of appends, the second after a refactorization of the pivoted
+            // basis (a new file, so a new row index).
+            for run in 0..2 {
+                let mut pivots = 0;
+                let mut attempts = 0;
+                while pivots < 12 && attempts < 200 {
+                    attempts += 1;
+                    let entering = (next() as usize) % (n + m);
+                    if factor.basis.contains(&entering) {
+                        continue;
+                    }
+                    let mut d = vec![Rational::zero(); m];
+                    cols.scatter(entering, &mut d);
+                    factor.ftran(&mut d);
+                    let nonzero: Vec<usize> =
+                        (0..m).filter(|&row| !d[row].is_exactly_zero()).collect();
+                    if nonzero.is_empty() {
+                        continue;
+                    }
+                    let leaving = nonzero[(next() as usize) % nonzero.len()];
+                    factor.basis[leaving] = entering;
+                    factor.push_eta(&d, leaving);
+                    pivots += 1;
+                    check(&factor, m, &format!("seed {seed}, run {run}, pivot {pivots}"));
+                }
+                assert!(pivots >= 6, "seed {seed}: the fuzz must exercise real pivots");
+                factor = factorize_markowitz(&cols, &factor.basis).factor;
+                check(&factor, m, &format!("seed {seed}, refactorized after run {run}"));
+            }
         }
     }
 

@@ -16,8 +16,9 @@
 //! * `f64` pricing recomputes reduced costs from a fresh `BTRAN` every iteration, so
 //!   there is no incrementally-maintained (and drifting) reduced-cost row at all;
 //! * the *exact* backend, which cannot drift, instead maintains the dual `y = c_B B⁻¹`
-//!   incrementally across pivots (`y' = y + (d̄_q/α_r)·ρ_r`, one sparse unit-vector
-//!   `BTRAN` per pivot instead of a dense one per pricing pass) and memoizes each
+//!   incrementally across pivots (`y' = y + (d̄_q/α_r)·ρ_r`, one hypersparse
+//!   unit-vector `BTRAN` per pivot, [`Factorization::btran_unit`], instead of a
+//!   dense one per pricing pass) and memoizes each
 //!   column's reduced-cost verdict until a dual row in its support actually changes —
 //!   both updates are exact rational arithmetic, so the optimality proof is untouched.
 //!
@@ -70,11 +71,11 @@ const REINVERT_EVERY: usize = 64;
 // arithmetic accumulates no round-off — a rebuild only exists to keep the eta file
 // (and thus FTRAN/BTRAN cost) from growing without bound — so each pivot is absorbed
 // as a rank-1 eta *update* of the rational factorization and a full Markowitz
-// refactorization runs only when the accumulated eta fill blows past the policy in
-// [`crate::lu::should_refactorize`]. On the degree-3 `nested` repair (41.7k exact
-// pivots) the previous fixed every-256-pivots cadence spent most of its ~212 s in
-// ~160 full rational refactorizations at ≥1 s each; the growth policy collapses
-// those to a handful while the per-pivot eta append stays at sparse cost.
+// refactorization runs only when the accumulated weighted eta fill outgrows the
+// policy in [`crate::lu::should_refactorize`] (or hits its eta-count cap). On the
+// degree-3 `nested` solve that is 162 refactorizations across 29,973 exact pivots,
+// about one per 185 pivots, with each rebuild a small share of the repair time
+// (EXPERIMENTS.md has the per-stage split and the policy constants' measurements).
 
 /// One eta matrix: the identity with column `pivot` replaced by the stored vector.
 #[derive(Debug, Clone)]
@@ -94,6 +95,18 @@ impl<S: Scalar> Eta<S> {
     pub(crate) fn weight(&self) -> usize {
         self.pivot_value.complexity()
             + self.others.iter().map(|(_, value)| value.complexity()).sum::<usize>()
+    }
+
+    /// This eta's step of the backward pass: `y[p] := (y[p] − Σ y[i]·e_i) / e_p`.
+    /// Exactly-zero reads are skipped, and so is the division when the sum is zero.
+    fn btran_step(&self, y: &mut [S]) {
+        let mut s = y[self.pivot].clone();
+        for (row, value) in &self.others {
+            if !y[*row].is_exactly_zero() {
+                s = s.sub(&y[*row].mul(value));
+            }
+        }
+        y[self.pivot] = if s.is_exactly_zero() { s } else { s.div(&self.pivot_value) };
     }
 }
 
@@ -154,12 +167,48 @@ impl<S: Scalar> Columns<S> {
 
 /// The eta-file basis factorization.
 pub(crate) struct Factorization<S> {
-    pub(crate) etas: Vec<Eta<S>>,
+    etas: Vec<Eta<S>>,
     /// Basic column per row position.
     pub(crate) basis: Vec<usize>,
+    /// Row → eta index: `row_etas[i]` lists, in ascending order, the etas whose pivot
+    /// or off-pivot entries sit on row `i`. It is what lets [`Factorization::btran_unit`]
+    /// visit only the etas a sparse input can reach; every append goes through
+    /// [`Factorization::push`], which keeps it in step with `etas`. Only exact files
+    /// carry it: on the many small `f64` solves of invariant analysis, building it
+    /// cost more than it could save.
+    row_etas: Vec<Vec<u32>>,
 }
 
 impl<S: Scalar> Factorization<S> {
+    /// An empty eta file (`B⁻¹ = I`) over the given row assignment.
+    pub(crate) fn new(basis: Vec<usize>) -> Factorization<S> {
+        let row_etas = if S::IS_EXACT { vec![Vec::new(); basis.len()] } else { Vec::new() };
+        Factorization { etas: Vec::new(), basis, row_etas }
+    }
+
+    /// Number of etas in the file.
+    pub(crate) fn len(&self) -> usize {
+        self.etas.len()
+    }
+
+    /// The most recently appended eta.
+    pub(crate) fn last(&self) -> Option<&Eta<S>> {
+        self.etas.last()
+    }
+
+    /// Appends one eta and, for exact scalars, indexes its rows.
+    pub(crate) fn push(&mut self, eta: Eta<S>) {
+        if S::IS_EXACT {
+            // An eta file never nears 2^32 etas (each holds at least its pivot value).
+            let index = self.etas.len() as u32;
+            self.row_etas[eta.pivot].push(index);
+            for (row, _) in &eta.others {
+                self.row_etas[*row].push(index);
+            }
+        }
+        self.etas.push(eta);
+    }
+
     /// `x := B⁻¹ x` (forward transformation).
     pub(crate) fn ftran(&self, x: &mut [S]) {
         for eta in &self.etas {
@@ -176,20 +225,56 @@ impl<S: Scalar> Factorization<S> {
 
     /// `y := y B⁻¹` (backward transformation, applied to a row vector).
     ///
-    /// The zero fast path matters for *sparse* inputs: the incremental dual update
-    /// BTRANs a unit vector `e_r` per pivot, and on most etas every read position is
-    /// still zero — skipping the rational division there keeps that BTRAN at
-    /// near-fill cost instead of one division per eta.
+    /// This is the pass for dense inputs such as `c_B`; unit vectors go through
+    /// [`Factorization::btran_unit`], which skips the etas they cannot reach.
     pub(crate) fn btran(&self, y: &mut [S]) {
         for eta in self.etas.iter().rev() {
-            let mut s = y[eta.pivot].clone();
-            for (row, value) in &eta.others {
-                if !y[*row].is_exactly_zero() {
-                    s = s.sub(&y[*row].mul(value));
-                }
-            }
-            y[eta.pivot] = if s.is_exactly_zero() { s } else { s.div(&eta.pivot_value) };
+            eta.btran_step(y);
         }
+    }
+
+    /// `e_r B⁻¹` (row `r` of the basis inverse): [`Factorization::btran`] of a unit
+    /// vector, visiting only the etas its non-zero pattern reaches.
+    ///
+    /// An eta changes `y` only when one of its rows is non-zero, and a row turns
+    /// non-zero only at an eta that pivots on it. So the pass starts from row `r`,
+    /// marks the etas on that row, and whenever a marked eta makes its pivot row
+    /// non-zero, marks the earlier etas on that row too. Marked etas run in
+    /// descending order through the dense pass's own step; the unmarked ones would
+    /// have left `y` untouched, so the result is identical.
+    pub(crate) fn btran_unit(&self, r: usize) -> Vec<S> {
+        let mut y = vec![S::zero(); self.basis.len()];
+        y[r] = S::one();
+        if !S::IS_EXACT {
+            // No row index (see `row_etas`): take the dense pass.
+            self.btran(&mut y);
+            return y;
+        }
+        let mut reached = vec![false; self.etas.len()];
+        let mut active = vec![false; self.basis.len()];
+        let mark = |reached: &mut [bool], row: usize, below: usize| {
+            for &k in &self.row_etas[row] {
+                let k = k as usize;
+                if k >= below {
+                    break;
+                }
+                reached[k] = true;
+            }
+        };
+        active[r] = true;
+        mark(&mut reached, r, self.etas.len());
+        for k in (0..self.etas.len()).rev() {
+            if !reached[k] {
+                continue;
+            }
+            let eta = &self.etas[k];
+            eta.btran_step(&mut y);
+            if !active[eta.pivot] && !y[eta.pivot].is_exactly_zero() {
+                active[eta.pivot] = true;
+                mark(&mut reached, eta.pivot, k);
+            }
+        }
+        y
     }
 
     /// Total *weighted* size of the eta file (pivot entries included): non-zeros
@@ -212,7 +297,7 @@ impl<S: Scalar> Factorization<S> {
             }
             others.push((row, value.clone()));
         }
-        self.etas.push(Eta { pivot, pivot_value: d[pivot].clone(), others });
+        self.push(Eta { pivot, pivot_value: d[pivot].clone(), others });
     }
 
     /// Rebuilds the eta file from scratch for a preferred column order.
@@ -233,7 +318,7 @@ impl<S: Scalar> Factorization<S> {
     ) -> (Factorization<S>, Vec<usize>, f64) {
         let m = columns.rows;
         let n = columns.cols.len();
-        let mut factor = Factorization { etas: Vec::new(), basis: vec![usize::MAX; m] };
+        let mut factor = Factorization::new(vec![usize::MAX; m]);
         let mut assigned = vec![false; m];
         let mut work = vec![S::zero(); m];
         let mut placed = vec![false; n + m];
@@ -497,7 +582,7 @@ pub(crate) fn solve_revised_capped<S: Scalar>(
         eprintln!(
             "[lp] revised phase2: {:?}{} in {:.2}s ({} iters total, {} eta updates, \
              {} refactorizations, {} sweeps, {} queue-served, {} degenerate; \
-             btran {:.2}s, reinvert {:.2}s, sweep {:.2}s)",
+             btran {:.2}s, ftran {:.2}s, reinvert {:.2}s, sweep {:.2}s)",
             status,
             if truncated { " (anytime-truncated)" } else { "" },
             phase2_start.elapsed().as_secs_f64(),
@@ -508,6 +593,7 @@ pub(crate) fn solve_revised_capped<S: Scalar>(
             state.queue_served,
             state.degenerate_pivots,
             state.btran_time.as_secs_f64(),
+            state.ftran_time.as_secs_f64(),
             state.reinvert_time.as_secs_f64(),
             state.sweep_time.as_secs_f64()
         );
@@ -566,6 +652,8 @@ struct State<'a, S> {
     degenerate_pivots: usize,
     /// Exact backend: time in the per-pivot pricing BTRAN (`y = c_B B⁻¹`).
     btran_time: std::time::Duration,
+    /// Time in the per-pivot FTRAN of the entering column (`d = B⁻¹ A_q`).
+    ftran_time: std::time::Duration,
     /// Exact backend: time in mid-run Markowitz refactorizations.
     reinvert_time: std::time::Duration,
     /// Exact backend: time in pricing sweeps (prescreen + exact verification).
@@ -621,6 +709,7 @@ impl<'a, S: Scalar> State<'a, S> {
             queue_served: 0,
             degenerate_pivots: 0,
             btran_time: std::time::Duration::ZERO,
+            ftran_time: std::time::Duration::ZERO,
             reinvert_time: std::time::Duration::ZERO,
             sweep_time: std::time::Duration::ZERO,
             degraded: false,
@@ -1060,9 +1149,11 @@ impl<'a, S: Scalar> State<'a, S> {
                 return LpStatus::Optimal;
             };
             // FTRAN the entering column and run the ratio test.
+            let ftran_start = Instant::now();
             let mut d = vec![S::zero(); m];
             self.columns.scatter(entering, &mut d);
             self.factor.ftran(&mut d);
+            self.ftran_time += ftran_start.elapsed();
             // Ratio test. Two kinds of blocking rows. (1) The ordinary test: a
             // positive entry bounds the step before the basic value hits zero. (2) A
             // basic *artificial* at zero with a negative entry: increasing the
@@ -1226,7 +1317,7 @@ impl<'a, S: Scalar> State<'a, S> {
                     eprintln!(
                         "[lp] unbounded claim: col {entering}, r(BTRAN) = {:e}, r(FTRAN) = {direct:e}, max d = {dmax:e}, etas = {}",
                         priced.to_f64(),
-                        self.factor.etas.len()
+                        self.factor.len()
                     );
                 }
                 return LpStatus::Unbounded;
@@ -1280,8 +1371,9 @@ impl<'a, S: Scalar> State<'a, S> {
             // exactly y' = y + (d̄_q / α_r)·ρ_r, where d̄_q is the entering column's
             // reduced cost (recorded at pricing), α_r = d[leaving] the pivot
             // element, and ρ_r = e_r B⁻¹ row r of the *pre-pivot* basis inverse —
-            // one BTRAN of a unit vector, which stays sparse through the eta file
-            // (vs the dense cost vector the full recomputation drags through it).
+            // one BTRAN of a unit vector, which visits only the etas its pattern
+            // reaches (`btran_unit`; on `nested`, ρ_r averages 178 non-zeros of
+            // 1,435 rows) instead of the whole file the dense `c_B` pass walks.
             // Proof it prices B̄ correctly: for a surviving basic column A_{B(i)},
             // ρ_r·A_{B(i)} = (e_r)_i = 0, so y'·A_{B(i)} = c_{B(i)} unchanged; for
             // the entering column, ρ_r·A_q = d_r = α_r, so y'·A_q = (c_q − d̄_q) +
@@ -1289,9 +1381,7 @@ impl<'a, S: Scalar> State<'a, S> {
             // trust the maintained dual outright (and `DCA_LP_CHECK` audits it).
             if S::IS_EXACT {
                 let btran_start = Instant::now();
-                let mut rho = vec![S::zero(); m];
-                rho[leaving] = S::one();
-                self.factor.btran(&mut rho);
+                let rho = self.factor.btran_unit(leaving);
                 // Infallible: when `S::IS_EXACT`, the entering column was chosen
                 // by the exact pricing sweep in this same iteration, which always
                 // records its reduced cost before reaching the pivot step.
@@ -1318,7 +1408,7 @@ impl<'a, S: Scalar> State<'a, S> {
             let pivot_magnitude = d[leaving].to_f64().abs();
             self.factor.push_eta(&d, leaving);
             self.etas_since_reinvert += 1;
-            if let Some(eta) = self.factor.etas.last() {
+            if let Some(eta) = self.factor.last() {
                 self.eta_nnz_since_reinvert += eta.weight();
             }
             if S::IS_EXACT {

@@ -1,21 +1,29 @@
-//! Arbitrary-precision rational numbers with an `i128` small-value fast path.
+//! Arbitrary-precision rational numbers with machine-word fast paths.
 //!
 //! The exact LP backend performs millions of rational add/mul/div/cmp operations whose
 //! operands are almost always tiny — Handelman coefficient-matching rows carry integer
 //! coefficients in the hundreds, and most pivot chains keep numerators and denominators
 //! within a couple of machine words. Routing every one of those operations through
 //! heap-allocating [`BigInt`] limb vectors is what made exact pivots expensive, so
-//! [`Rational`] stores small values inline:
+//! [`Rational`] stores small values inline and picks the cheapest of three tiers per
+//! operation:
 //!
-//! * [`Repr::Small`] holds `num/den` as two `i128`s (denominator positive, fraction
-//!   reduced) and performs all arithmetic with overflow-*checked* machine operations —
-//!   no allocation, no limb loops;
-//! * [`Repr::Big`] holds the [`BigInt`] pair and is used **only** when the value does
-//!   not fit the small form. Every constructor demotes eagerly, so the representation
-//!   is canonical and derived equality/hashing are exact.
+//! * **64-bit tier.** When all four parts of the two inline operands have magnitude
+//!   below `2^63`, the operation runs on `u64` binary gcds and hardware 64-bit
+//!   division, and forms its products as `i64 × i64 → i128`, which cannot overflow.
+//!   Addition is Knuth's (TAOCP 4.5.1), with shortcuts for coprime denominators and
+//!   for integers; every result is reduced by construction, with no final gcd.
+//! * **128-bit tier.** [`Repr::Small`] holds `num/den` as two `i128`s (denominator
+//!   positive, fraction reduced). Operands beyond the 64-bit tier use
+//!   overflow-*checked* `i128` arithmetic — no allocation, no limb loops.
+//! * **BigInt tier.** [`Repr::Big`] holds the [`BigInt`] pair and is used **only**
+//!   when the value does not fit the small form. Every constructor demotes eagerly,
+//!   so the representation is canonical and derived equality/hashing are exact.
 //!
+//! The tiers share one representation: a 64-bit result is an ordinary `Small` value.
 //! On any checked overflow the operation transparently re-runs in [`BigInt`]
-//! arithmetic; correctness never depends on operands staying small.
+//! arithmetic; correctness never depends on operands staying small. The two wider
+//! tiers live out of line (`*_wide` and `big_*`), so the hot 64-bit path inlines.
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -44,8 +52,9 @@ impl From<ParseBigIntError> for ParseRationalError {
     }
 }
 
-/// Binary GCD on unsigned 128-bit magnitudes (no allocation, no division loop).
-fn gcd_u128(mut a: u128, mut b: u128) -> u128 {
+/// Binary GCD on unsigned 64-bit magnitudes.
+#[inline]
+fn gcd_u64(mut a: u64, mut b: u64) -> u64 {
     if a == 0 {
         return b;
     }
@@ -64,6 +73,131 @@ fn gcd_u128(mut a: u128, mut b: u128) -> u128 {
             return a << shift;
         }
     }
+}
+
+/// Binary GCD on unsigned 128-bit magnitudes (no allocation, no division loop). Hands
+/// off to [`gcd_u64`] as soon as both operands fit 64 bits.
+fn gcd_u128(mut a: u128, mut b: u128) -> u128 {
+    if (a | b) >> 64 == 0 {
+        return gcd_u64(a as u64, b as u64) as u128;
+    }
+    if a == 0 {
+        return b;
+    }
+    if b == 0 {
+        return a;
+    }
+    let shift = (a | b).trailing_zeros();
+    a >>= a.trailing_zeros();
+    loop {
+        b >>= b.trailing_zeros();
+        if a > b {
+            std::mem::swap(&mut a, &mut b);
+        }
+        if b >> 64 == 0 {
+            // a <= b < 2^64, both odd: the common factor of two is already in `shift`.
+            return (gcd_u64(a as u64, b as u64) as u128) << shift;
+        }
+        b -= a;
+        if b == 0 {
+            return a << shift;
+        }
+    }
+}
+
+/// `true` when both `Small` operands qualify for the 64-bit tier: every part has
+/// magnitude below `2^63`, so each part fits `i64` together with its negation
+/// (`i64::MIN` is excluded) and every pairwise product fits `i128`.
+#[inline]
+fn fits_64(an: i128, ad: i128, bn: i128, bd: i128) -> bool {
+    (an.unsigned_abs() | ad.unsigned_abs() | bn.unsigned_abs() | bd.unsigned_abs()) >> 63 == 0
+}
+
+/// Widening `i64 × i64 → i128` product (one hardware multiply; cannot overflow).
+#[inline]
+fn wide(a: i64, b: i64) -> i128 {
+    a as i128 * b as i128
+}
+
+/// `t / g` for a positive `g` that divides `t`, on hardware 64-bit division whenever
+/// the magnitude of `t` fits.
+#[inline]
+fn div_exact(t: i128, g: u64) -> i128 {
+    if g == 1 {
+        return t;
+    }
+    let magnitude = t.unsigned_abs();
+    if magnitude >> 64 == 0 {
+        let quotient = ((magnitude as u64) / g) as i128;
+        if t < 0 {
+            -quotient
+        } else {
+            quotient
+        }
+    } else {
+        t / g as i128
+    }
+}
+
+/// `a/b + c/d` on the 64-bit tier (reduced operands, `|a|, |c| < 2^63`,
+/// `0 < b, d < 2^63`). Knuth's addition: with `g = gcd(b, d)`,
+/// `t = a·(d/g) + c·(b/g)` and `g2 = gcd(t, g)`, the sum is
+/// `(t/g2) / ((b/g)·(d/g2))`, already reduced. Every product is an `i64 × i64`
+/// widening multiply and `|t| < 2^127`.
+#[inline]
+fn add_64(a: i64, b: i64, c: i64, d: i64) -> Rational {
+    if b == 1 && d == 1 {
+        return Rational { repr: Repr::Small(a as i128 + c as i128, 1) };
+    }
+    if b == 1 {
+        // gcd(a·d + c, d) = gcd(c, d) = 1.
+        return Rational::small_coprime(wide(a, d) + c as i128, d as i128);
+    }
+    if d == 1 {
+        return Rational::small_coprime(a as i128 + wide(c, b), b as i128);
+    }
+    let g = gcd_u64(b as u64, d as u64);
+    if g == 1 {
+        // Coprime denominators: no prime of b·d can divide a·d + c·b.
+        return Rational::small_coprime(wide(a, d) + wide(c, b), wide(b, d));
+    }
+    let (bg, dg) = (b / g as i64, d / g as i64);
+    let t = wide(a, dg) + wide(c, bg);
+    if t == 0 {
+        return Rational::zero();
+    }
+    // Only the factors of g can be shared by t and the denominator (b/g)·d.
+    let magnitude = t.unsigned_abs();
+    let t_mod_g = if magnitude >> 64 == 0 {
+        (magnitude as u64) % g
+    } else {
+        (magnitude % g as u128) as u64
+    };
+    let g2 = gcd_u64(t_mod_g, g);
+    Rational::small_coprime(div_exact(t, g2), wide(bg, d / g2 as i64))
+}
+
+/// `a/b · c/d` on the 64-bit tier (non-zero reduced operands, parts below `2^63`).
+/// Cross-reducing by `gcd(|a|, d)` and `gcd(|c|, b)` leaves a reduced product.
+#[inline]
+fn mul_64(a: i64, b: i64, c: i64, d: i64) -> Rational {
+    let g1 = if d == 1 { 1 } else { gcd_u64(a.unsigned_abs(), d as u64) as i64 };
+    let g2 = if b == 1 { 1 } else { gcd_u64(c.unsigned_abs(), b as u64) as i64 };
+    let (a, d) = if g1 == 1 { (a, d) } else { (a / g1, d / g1) };
+    let (c, b) = if g2 == 1 { (c, b) } else { (c / g2, b / g2) };
+    Rational::small_coprime(wide(a, c), wide(b, d))
+}
+
+/// `(a/b) / (c/d)` on the 64-bit tier (`a, c` non-zero, parts below `2^63`): the
+/// product `(a·d) / (b·c)` cross-reduced by `gcd(|a|, |c|)` and `gcd(b, d)`. The
+/// denominator carries `c`'s sign, which `small_coprime` moves to the numerator.
+#[inline]
+fn div_64(a: i64, b: i64, c: i64, d: i64) -> Rational {
+    let g1 = gcd_u64(a.unsigned_abs(), c.unsigned_abs()) as i64;
+    let g2 = if b == 1 || d == 1 { 1 } else { gcd_u64(b as u64, d as u64) as i64 };
+    let (a, c) = if g1 == 1 { (a, c) } else { (a / g1, c / g1) };
+    let (b, d) = if g2 == 1 { (b, d) } else { (b / g2, d / g2) };
+    Rational::small_coprime(wide(a, d), wide(b, c))
 }
 
 /// GCD of two `i128`s as a non-negative `i128` (`None` if the result is `2^127`,
@@ -107,11 +241,31 @@ pub struct Rational {
 impl Rational {
     /// Builds the canonical `Small` repr from a *not necessarily reduced* fraction.
     /// Falls back to the `Big` path when reduction itself cannot be represented.
+    #[inline]
     fn small(num: i128, den: i128) -> Rational {
         debug_assert!(den != 0, "rational with zero denominator");
         if num == 0 {
             return Rational { repr: Repr::Small(0, 1) };
         }
+        let (num_mag, den_mag) = (num.unsigned_abs(), den.unsigned_abs());
+        if (num_mag | den_mag) >> 64 == 0 {
+            // Both magnitudes fit u64: 64-bit gcd and division, and the reduced
+            // magnitudes re-sign without any i128::MIN corner.
+            let g = gcd_u64(num_mag as u64, den_mag as u64);
+            let (n, d) = if g == 1 {
+                (num_mag as i128, den_mag as i128)
+            } else {
+                (((num_mag as u64) / g) as i128, ((den_mag as u64) / g) as i128)
+            };
+            let n = if (num < 0) != (den < 0) { -n } else { n };
+            return Rational { repr: Repr::Small(n, d) };
+        }
+        Rational::small_wide(num, den)
+    }
+
+    /// [`Rational::small`] for fractions with a part beyond 64 bits.
+    #[inline(never)]
+    fn small_wide(num: i128, den: i128) -> Rational {
         let g = gcd_u128(num.unsigned_abs(), den.unsigned_abs());
         let Ok(g) = i128::try_from(g) else {
             // gcd = 2^127 means both operands are i128::MIN: the value is exactly 1.
@@ -143,6 +297,7 @@ impl Rational {
     /// products of `Mul`/`Div`), skipping the gcd: only sign normalization remains.
     /// This is the hottest constructor in exact pivoting — the second gcd would be
     /// pure waste, since it mathematically always returns 1 here.
+    #[inline]
     fn small_coprime(num: i128, den: i128) -> Rational {
         debug_assert!(den != 0, "rational with zero denominator");
         debug_assert!(
@@ -568,14 +723,25 @@ impl Ord for Rational {
             if ad == bd {
                 return an.cmp(bn);
             }
-            if let (Some(lhs), Some(rhs)) = (an.checked_mul(*bd), bn.checked_mul(*ad)) {
-                return lhs.cmp(&rhs);
+            if fits_64(*an, *ad, *bn, *bd) {
+                return wide(*an as i64, *bd as i64).cmp(&wide(*bn as i64, *ad as i64));
             }
         }
-        let (an, ad) = self.to_bigint_pair();
-        let (bn, bd) = other.to_bigint_pair();
-        (&an * &bd).cmp(&(&bn * &ad))
+        cmp_wide(self, other)
     }
+}
+
+/// [`Ord::cmp`] beyond the 64-bit tier: checked `i128` cross products, then BigInt.
+#[inline(never)]
+fn cmp_wide(a: &Rational, b: &Rational) -> Ordering {
+    if let (Repr::Small(an, ad), Repr::Small(bn, bd)) = (&a.repr, &b.repr) {
+        if let (Some(lhs), Some(rhs)) = (an.checked_mul(*bd), bn.checked_mul(*ad)) {
+            return lhs.cmp(&rhs);
+        }
+    }
+    let (an, ad) = a.to_bigint_pair();
+    let (bn, bd) = b.to_bigint_pair();
+    (&an * &bd).cmp(&(&bn * &ad))
 }
 
 impl Neg for Rational {
@@ -618,6 +784,80 @@ fn big_div(a: &Rational, b: &Rational) -> Rational {
     Rational::from_bigints(&an * &bd, &ad * &bn)
 }
 
+/// `a + b` beyond the 64-bit tier: checked `i128` Knuth addition, then BigInt.
+#[inline(never)]
+fn add_wide(a: &Rational, b: &Rational) -> Rational {
+    if let (Repr::Small(an, ad), Repr::Small(bn, bd)) = (&a.repr, &b.repr) {
+        // Knuth's reduced cross-multiplication: dividing both denominators by
+        // their gcd first keeps the intermediates (and overflow frequency) down.
+        if let Some(g) = gcd_i128(*ad, *bd) {
+            let (adg, bdg) = (ad / g, bd / g);
+            let num = an
+                .checked_mul(bdg)
+                .and_then(|l| bn.checked_mul(adg).and_then(|r| l.checked_add(r)));
+            let den = adg.checked_mul(*bd);
+            if let (Some(num), Some(den)) = (num, den) {
+                return Rational::small(num, den);
+            }
+        }
+    }
+    big_add(a, b)
+}
+
+/// `a - b` beyond the 64-bit tier: checked `i128` arithmetic, then `a + (-b)`.
+#[inline(never)]
+fn sub_wide(a: &Rational, b: &Rational) -> Rational {
+    if let (Repr::Small(an, ad), Repr::Small(bn, bd)) = (&a.repr, &b.repr) {
+        if let Some(g) = gcd_i128(*ad, *bd) {
+            let (adg, bdg) = (ad / g, bd / g);
+            let num = an
+                .checked_mul(bdg)
+                .and_then(|l| bn.checked_mul(adg).and_then(|r| l.checked_sub(r)));
+            let den = adg.checked_mul(*bd);
+            if let (Some(num), Some(den)) = (num, den) {
+                return Rational::small(num, den);
+            }
+        }
+    }
+    add_wide(a, &(-b.clone()))
+}
+
+/// `a · b` beyond the 64-bit tier: cross-reduced checked `i128` products, then BigInt.
+#[inline(never)]
+fn mul_wide(a: &Rational, b: &Rational) -> Rational {
+    if let (Repr::Small(an, ad), Repr::Small(bn, bd)) = (&a.repr, &b.repr) {
+        // Cross-reduce before multiplying: gcd(|a_n|, b_d) and gcd(|b_n|, a_d)
+        // divide out, so the products are already fully reduced (each numerator
+        // factor is coprime to each denominator factor) and much less likely to
+        // overflow.
+        if let (Some(g1), Some(g2)) = (gcd_i128(*an, *bd), gcd_i128(*bn, *ad)) {
+            let num = (an / g1).checked_mul(bn / g2);
+            let den = (ad / g2).checked_mul(bd / g1);
+            if let (Some(num), Some(den)) = (num, den) {
+                return Rational::small_coprime(num, den);
+            }
+        }
+    }
+    big_mul(a, b)
+}
+
+/// `a / b` beyond the 64-bit tier: cross-reduced checked `i128` products, then BigInt.
+#[inline(never)]
+fn div_wide(a: &Rational, b: &Rational) -> Rational {
+    if let (Repr::Small(an, ad), Repr::Small(bn, bd)) = (&a.repr, &b.repr) {
+        if let (Some(g1), Some(g2)) = (gcd_i128(*an, *bn), gcd_i128(*ad, *bd)) {
+            let num = (an / g1).checked_mul(bd / g2);
+            let den = (ad / g2).checked_mul(bn / g1);
+            if let (Some(num), Some(den)) = (num, den) {
+                // Already coprime by the same cross-reduction argument; the
+                // denominator carries `bn`'s sign, which small_coprime fixes.
+                return Rational::small_coprime(num, den);
+            }
+        }
+    }
+    big_div(a, b)
+}
+
 impl Add for &Rational {
     type Output = Rational;
     fn add(self, rhs: &Rational) -> Rational {
@@ -629,20 +869,11 @@ impl Add for &Rational {
             if *bn == 0 {
                 return self.clone();
             }
-            // Knuth's reduced cross-multiplication: dividing both denominators by
-            // their gcd first keeps the intermediates (and overflow frequency) down.
-            if let Some(g) = gcd_i128(*ad, *bd) {
-                let (adg, bdg) = (ad / g, bd / g);
-                let num = an
-                    .checked_mul(bdg)
-                    .and_then(|l| bn.checked_mul(adg).and_then(|r| l.checked_add(r)));
-                let den = adg.checked_mul(*bd);
-                if let (Some(num), Some(den)) = (num, den) {
-                    return Rational::small(num, den);
-                }
+            if fits_64(*an, *ad, *bn, *bd) {
+                return add_64(*an as i64, *ad as i64, *bn as i64, *bd as i64);
             }
         }
-        big_add(self, rhs)
+        add_wide(self, rhs)
     }
 }
 
@@ -653,18 +884,12 @@ impl Sub for &Rational {
             if *bn == 0 {
                 return self.clone();
             }
-            if let Some(g) = gcd_i128(*ad, *bd) {
-                let (adg, bdg) = (ad / g, bd / g);
-                let num = an
-                    .checked_mul(bdg)
-                    .and_then(|l| bn.checked_mul(adg).and_then(|r| l.checked_sub(r)));
-                let den = adg.checked_mul(*bd);
-                if let (Some(num), Some(den)) = (num, den) {
-                    return Rational::small(num, den);
-                }
+            if fits_64(*an, *ad, *bn, *bd) {
+                // |bn| < 2^63, so its negation fits i64 too.
+                return add_64(*an as i64, *ad as i64, -(*bn as i64), *bd as i64);
             }
         }
-        self + &(-rhs.clone())
+        sub_wide(self, rhs)
     }
 }
 
@@ -675,19 +900,11 @@ impl Mul for &Rational {
             if *an == 0 || *bn == 0 {
                 return Rational::zero();
             }
-            // Cross-reduce before multiplying: gcd(|a_n|, b_d) and gcd(|b_n|, a_d)
-            // divide out, so the products are already fully reduced (each numerator
-            // factor is coprime to each denominator factor) and much less likely to
-            // overflow.
-            if let (Some(g1), Some(g2)) = (gcd_i128(*an, *bd), gcd_i128(*bn, *ad)) {
-                let num = (an / g1).checked_mul(bn / g2);
-                let den = (ad / g2).checked_mul(bd / g1);
-                if let (Some(num), Some(den)) = (num, den) {
-                    return Rational::small_coprime(num, den);
-                }
+            if fits_64(*an, *ad, *bn, *bd) {
+                return mul_64(*an as i64, *ad as i64, *bn as i64, *bd as i64);
             }
         }
-        big_mul(self, rhs)
+        mul_wide(self, rhs)
     }
 }
 
@@ -699,17 +916,11 @@ impl Div for &Rational {
             if *an == 0 {
                 return Rational::zero();
             }
-            if let (Some(g1), Some(g2)) = (gcd_i128(*an, *bn), gcd_i128(*ad, *bd)) {
-                let num = (an / g1).checked_mul(bd / g2);
-                let den = (ad / g2).checked_mul(bn / g1);
-                if let (Some(num), Some(den)) = (num, den) {
-                    // Already coprime by the same cross-reduction argument; the
-                    // denominator carries `bn`'s sign, which small_coprime fixes.
-                    return Rational::small_coprime(num, den);
-                }
+            if fits_64(*an, *ad, *bn, *bd) {
+                return div_64(*an as i64, *ad as i64, *bn as i64, *bd as i64);
             }
         }
-        big_div(self, rhs)
+        div_wide(self, rhs)
     }
 }
 
@@ -1039,6 +1250,151 @@ mod tests {
         assert!((&min - &Rational::one()) < min);
         assert_eq!(min.floor(), BigInt::from(i128::MIN));
         assert_eq!(min.ceil(), BigInt::from(i128::MIN));
+    }
+
+    // ----- 64-bit tier against BigInt -------------------------------------------------
+
+    /// The reduced `(numerator, denominator)` of `num/den`, normalized with BigInt
+    /// arithmetic only (independent of every machine-word path).
+    fn reference(num: BigInt, den: BigInt) -> (BigInt, BigInt) {
+        let (num, den) = if den.is_negative() { (-num, -den) } else { (num, den) };
+        if num.is_zero() {
+            return (BigInt::zero(), BigInt::one());
+        }
+        let g = num.gcd(&den);
+        (num.div_rem(&g).0, den.div_rem(&g).0)
+    }
+
+    /// Asserts `value` is the canonical form of `num/den`: the reduced parts match
+    /// the BigInt reference, and the value is inline exactly when both parts fit i128.
+    fn assert_canonical(value: &Rational, num: BigInt, den: BigInt, context: &str) {
+        let (n, d) = reference(num, den);
+        assert_eq!((value.numerator(), value.denominator()), (n.clone(), d.clone()), "{context}");
+        let fits = n.to_i128().is_some() && d.to_i128().is_some();
+        assert_eq!(value.is_small(), fits, "{context}: non-canonical representation");
+    }
+
+    /// Integer magnitudes around every tier boundary: 0, ±1, ±2, ±2^31, ±(2^63 − 1),
+    /// i64::MIN, ±2^63, ±2^64 and values next to the i128 limits.
+    fn boundary_integers() -> Vec<i128> {
+        let p63 = 1i128 << 63;
+        let mut out = vec![
+            0,
+            1,
+            2,
+            3,
+            1 << 31,
+            (1 << 31) + 1,
+            p63 - 1,
+            p63,
+            p63 + 1,
+            1 << 64,
+            (1 << 64) - 1,
+            1 << 100,
+            i128::MAX,
+            i128::MAX - 1,
+            1 << 126,
+        ];
+        out.extend(out.clone().into_iter().map(|v| -v));
+        out.push(i128::MIN);
+        out.push(i128::MIN + 1);
+        out.sort_unstable();
+        out.dedup();
+        out
+    }
+
+    /// Boundary integers as numerators over boundary denominators, plus seeded
+    /// coprime pairs of 20–62-bit parts (reduced fractions that stay on the 64-bit
+    /// tier but whose products do not fit 64 bits).
+    fn boundary_grid() -> Vec<(i128, i128)> {
+        let integers = boundary_integers();
+        let denominators: Vec<i128> = integers.iter().copied().filter(|&d| d > 0).collect();
+        let mut grid = Vec::new();
+        for &num in &integers {
+            for &den in [1i128, 2, 3, 1 << 31, (1 << 63) - 1, 1 << 63, i128::MAX].iter() {
+                grid.push((num, den));
+            }
+        }
+        for &den in &denominators {
+            grid.push((1, den));
+            grid.push((-7, den));
+        }
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut coprime = 0;
+        while coprime < 48 {
+            let bits_n = 20 + next() % 43;
+            let bits_d = 20 + next() % 43;
+            let num = (next() >> (64 - bits_n)) as i128;
+            let den = (next() >> (64 - bits_d)) as i128 | 1;
+            if num != 0 && gcd_u128(num as u128, den as u128) == 1 {
+                grid.push((if next() % 2 == 0 { num } else { -num }, den));
+                coprime += 1;
+            }
+        }
+        grid
+    }
+
+    /// Every operation on every pair of the boundary grid agrees with BigInt: add,
+    /// sub, mul, div (against both the `big_*` fallbacks and an independent BigInt
+    /// normalization), cmp (against BigInt cross products), and the constructors
+    /// `new` and `from_bigints`. In debug builds the 64-bit kernels also run the
+    /// `small_coprime` coprimality assertion on every result.
+    #[test]
+    fn machine_word_tiers_agree_with_bigint_on_the_boundary_grid() {
+        let grid = boundary_grid();
+        let values: Vec<(Rational, BigInt, BigInt)> = grid
+            .iter()
+            .map(|&(n, d)| {
+                let value = Rational::from_bigints(BigInt::from(n), BigInt::from(d));
+                assert_canonical(&value, BigInt::from(n), BigInt::from(d), &format!("{n}/{d}"));
+                let (num, den) = reference(BigInt::from(n), BigInt::from(d));
+                (value, num, den)
+            })
+            .collect();
+        for (x, xn, xd) in &values {
+            for (y, yn, yd) in &values {
+                let context = format!("{x:?} and {y:?}");
+                let sum = x + y;
+                assert_eq!(sum, big_add(x, y), "add {context}");
+                assert_canonical(&sum, &(xn * yd) + &(yn * xd), xd * yd, &format!("add {context}"));
+                let difference = x - y;
+                assert_eq!(difference, big_add(x, &-y), "sub {context}");
+                assert_canonical(
+                    &difference,
+                    &(xn * yd) - &(yn * xd),
+                    xd * yd,
+                    &format!("sub {context}"),
+                );
+                let product = x * y;
+                assert_eq!(product, big_mul(x, y), "mul {context}");
+                assert_canonical(&product, xn * yn, xd * yd, &format!("mul {context}"));
+                if !y.is_zero() {
+                    let quotient = x / y;
+                    assert_eq!(quotient, big_div(x, y), "div {context}");
+                    assert_canonical(&quotient, xn * yd, xd * yn, &format!("div {context}"));
+                }
+                assert_eq!(x.cmp(y), (xn * yd).cmp(&(yn * xd)), "cmp {context}");
+            }
+        }
+        // `new` over the i64 corners (including i64::MIN, which the 64-bit tier
+        // excludes as an operand but `new` must still normalize).
+        let corners = [0i64, 1, -1, 2, -2, 1 << 31, -(1 << 31), i64::MAX, -i64::MAX, i64::MIN];
+        for &n in &corners {
+            for &d in corners.iter().filter(|&&d| d != 0) {
+                assert_canonical(
+                    &Rational::new(n, d),
+                    BigInt::from(n),
+                    BigInt::from(d),
+                    &format!("new({n}, {d})"),
+                );
+            }
+        }
     }
 
     #[test]
