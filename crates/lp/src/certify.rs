@@ -33,10 +33,10 @@ use crate::fault::{self, FaultKind, SolvePhase};
 use crate::lu::factorize_markowitz;
 use crate::presolve::presolve;
 use crate::problem::LpStatus;
-use crate::revised::Columns;
 use crate::scalar::Scalar;
 use crate::simplex::{
-    solve_standard_form_inner, RawSolution, StandardForm, PERTURBATION, PERTURB_ROWS_THRESHOLD,
+    settled_by_presolve, solve_standard_form_inner, RawSolution, StandardForm, PERTURBATION,
+    PERTURB_ROWS_THRESHOLD,
 };
 
 /// Per-phase effort accounting of one float-first solve.
@@ -116,10 +116,10 @@ const FLOAT_BUDGET_FRACTION: f64 = 0.25;
 /// accepted only at exactly zero.
 fn certify_basis(
     form: &StandardForm<Rational>,
-    columns: &Columns<Rational>,
     basis: &[usize],
     deadline: &Deadline,
 ) -> Certified {
+    let columns = &form.columns;
     let m = columns.rows;
     let n = columns.cols.len();
     // Certification is exact work too and must honor the per-attempt budget like
@@ -206,13 +206,13 @@ fn certify_basis(
 /// infeasible.
 fn phase1_farkas(
     form: &StandardForm<Rational>,
-    columns: &Columns<Rational>,
     basis: &[usize],
     deadline: &Deadline,
 ) -> Option<Vec<Rational>> {
     if deadline.expired() {
         return None;
     }
+    let columns = &form.columns;
     let n = columns.cols.len();
     let lu = factorize_markowitz(columns, basis);
     let mut y = vec![Rational::zero(); columns.rows];
@@ -263,32 +263,10 @@ pub(crate) fn solve_float_first(
 
     // Exact presolve (the rational pass may conclude infeasibility outright).
     let presolve_start = Instant::now();
-    let pre = if std::env::var("DCA_LP_NO_PRESOLVE").is_ok() {
-        crate::presolve::identity(form)
-    } else {
-        presolve(form)
-    };
+    let pre = presolve(form);
     phases.presolve_time = presolve_start.elapsed();
-    if let Some(status) = pre.verdict {
-        let mut solution = RawSolution::bare(status);
-        solution.presolve_rows_removed = pre.rows_removed;
-        solution.presolve_cols_removed = pre.cols_removed;
+    if let Some(mut solution) = settled_by_presolve(&pre, num_original_cols) {
         phases.certified = true; // the verdict is exact-rational by construction
-        solution.phases = phases;
-        return solution;
-    }
-    if pre.form.matrix.is_empty() {
-        // Presolve resolved every constraint exactly; see `solve_standard_form`.
-        let unbounded = pre.form.costs.iter().any(Scalar::is_negative);
-        let mut solution =
-            RawSolution::bare(if unbounded { LpStatus::Unbounded } else { LpStatus::Optimal });
-        if !unbounded {
-            solution.values =
-                pre.restore(&vec![Rational::zero(); pre.kept_cols.len()], num_original_cols);
-        }
-        solution.presolve_rows_removed = pre.rows_removed;
-        solution.presolve_cols_removed = pre.cols_removed;
-        phases.certified = true;
         solution.phases = phases;
         return solution;
     }
@@ -399,7 +377,6 @@ fn certified_core(
     want_dual: bool,
     mut use_float: bool,
 ) -> (RawSolution<Rational>, Option<Vec<Rational>>) {
-    let columns = Columns::from_form(form);
     let mut candidate: Vec<usize> = Vec::new();
     let mut result: Option<RawSolution<Rational>> = None;
     let mut dual: Option<Vec<Rational>> = None;
@@ -425,11 +402,7 @@ fn certified_core(
     if use_float {
         let float_start = Instant::now();
         let float_form = StandardForm {
-            matrix: form
-                .matrix
-                .iter()
-                .map(|row| row.iter().map(Rational::to_f64).collect())
-                .collect(),
+            columns: form.columns.map(Rational::to_f64),
             rhs: form.rhs.iter().map(Rational::to_f64).collect(),
             costs: form.costs.iter().map(Rational::to_f64).collect(),
             model_columns: form.model_columns.clone(),
@@ -443,19 +416,20 @@ fn certified_core(
             Instant::now() + remaining.mul_f64(FLOAT_BUDGET_FRACTION)
         }));
         let perturbation =
-            if float_form.matrix.len() >= PERTURB_ROWS_THRESHOLD { PERTURBATION } else { 0.0 };
+            if float_form.columns.rows >= PERTURB_ROWS_THRESHOLD { PERTURBATION } else { 0.0 };
         let float =
             solve_standard_form_inner(&float_form, &float_deadline, perturbation, warm, None);
         phases.float_time += float_start.elapsed();
         phases.float_iterations += float.iterations;
         if debug {
             eprintln!(
-                "[lp] float-first: f64 phase {:?} in {:.2}s ({} pivots, {} rows, {} cols)",
+                "[lp] float-first: f64 phase {:?} in {:.2}s ({} pivots, {} rows x {} cols, {} nnz)",
                 float.status,
                 float_start.elapsed().as_secs_f64(),
                 float.iterations,
-                form.matrix.len(),
-                form.costs.len()
+                form.columns.rows,
+                form.costs.len(),
+                form.columns.nnz()
             );
         }
         candidate = float.basis;
@@ -483,7 +457,7 @@ fn certified_core(
             let certified = if force_reject {
                 Certified::Rejected { dual_bound: None }
             } else {
-                certify_basis(form, &columns, &candidate, deadline)
+                certify_basis(form, &candidate, deadline)
             };
             phases.certify_time += certify_start.elapsed();
             phases.certify_rounds += 1;
@@ -596,7 +570,7 @@ fn certified_core(
     // out of time.
     if want_dual && dual.is_none() && solution.status == LpStatus::Optimal && !solution.truncated {
         let certify_start = Instant::now();
-        let certified = certify_basis(form, &columns, &solution.basis, deadline);
+        let certified = certify_basis(form, &solution.basis, deadline);
         phases.certify_time += certify_start.elapsed();
         dual = match certified {
             Certified::Accepted(certificate) => Some(certificate.dual),
@@ -664,7 +638,6 @@ fn solve_with_row_generation(
         }
     }
     phases.products_total = lazy.len();
-    let full_columns = Columns::from_form(form);
     let mut warm_full: Option<Vec<usize>> = warm.map(<[usize]>::to_vec);
 
     let (mut sub, sub_cols, basis_full) = loop {
@@ -683,11 +656,7 @@ fn solve_with_row_generation(
         // pricing full-form columns. `model_columns` is presolve metadata and the
         // sub-form never passes through presolve, so it stays empty.
         let sub_form = StandardForm {
-            matrix: form
-                .matrix
-                .iter()
-                .map(|row| sub_cols.iter().map(|&j| row[j].clone()).collect())
-                .collect(),
+            columns: form.columns.select(&sub_cols),
             rhs: form.rhs.clone(),
             costs: sub_cols.iter().map(|&j| form.costs[j].clone()).collect(),
             model_columns: Vec::new(),
@@ -697,10 +666,12 @@ fn solve_with_row_generation(
         });
         if debug {
             eprintln!(
-                "[lp] rowgen round {}: {}/{} columns active",
+                "[lp] rowgen round {}: {} rows x {}/{} columns active, {} nnz",
                 phases.separation_rounds,
+                sub_form.columns.rows,
                 sub_cols.len(),
-                n
+                n,
+                sub_form.columns.nnz()
             );
         }
         // The f64 phase only pays off on the first round: later rounds re-solve the
@@ -735,7 +706,7 @@ fn solve_with_row_generation(
                     break (sub, sub_cols, basis_full);
                 };
                 let violated: Vec<usize> = excluded()
-                    .filter(|&j| form.costs[j].sub(&full_columns.dot(&dual, j)).is_negative())
+                    .filter(|&j| form.costs[j].sub(&form.columns.dot(&dual, j)).is_negative())
                     .collect();
                 if violated.is_empty() {
                     if debug {
@@ -751,9 +722,8 @@ fn solve_with_row_generation(
                 }
             }
             LpStatus::Infeasible => {
-                let sub_columns = Columns::from_form(&sub_form);
                 let certify_start = Instant::now();
-                let farkas = phase1_farkas(&sub_form, &sub_columns, &sub.basis, deadline);
+                let farkas = phase1_farkas(&sub_form, &sub.basis, deadline);
                 phases.certify_time += certify_start.elapsed();
                 match farkas {
                     Some(farkas) => {
@@ -761,7 +731,7 @@ fn solve_with_row_generation(
                         // prices `−y₁·A_j`: only `y₁·A_j > 0` could pull the
                         // artificial sum below its positive optimum.
                         let violated: Vec<usize> = excluded()
-                            .filter(|&j| full_columns.dot(&farkas, j).is_positive())
+                            .filter(|&j| form.columns.dot(&farkas, j).is_positive())
                             .collect();
                         if violated.is_empty() {
                             break (sub, sub_cols, basis_full);
@@ -844,12 +814,11 @@ mod tests {
     /// minimize -x - y  s.t.  x + y + s = 4: optimum -4 at x + y = 4.
     #[test]
     fn float_first_certifies_a_simple_optimum() {
-        let form = StandardForm {
-            matrix: vec![vec![r(1, 1), r(1, 1), r(1, 1)]],
-            rhs: vec![r(4, 1)],
-            costs: vec![r(-1, 1), r(-1, 1), r(0, 1)],
-            model_columns: Vec::new(),
-        };
+        let form = StandardForm::from_dense_rows(
+            vec![vec![r(1, 1), r(1, 1), r(1, 1)]],
+            vec![r(4, 1)],
+            vec![r(-1, 1), r(-1, 1), r(0, 1)],
+        );
         let solution = solve_float_first(&form, &Deadline::unlimited(), None, &[]);
         assert_eq!(solution.status, LpStatus::Optimal);
         assert!(solution.phases.certified);
@@ -861,12 +830,11 @@ mod tests {
 
     #[test]
     fn float_first_agrees_with_exact_on_infeasible() {
-        let form = StandardForm {
-            matrix: vec![vec![r(1, 1)], vec![r(1, 1)]],
-            rhs: vec![r(2, 1), r(3, 1)],
-            costs: vec![r(0, 1)],
-            model_columns: Vec::new(),
-        };
+        let form = StandardForm::from_dense_rows(
+            vec![vec![r(1, 1)], vec![r(1, 1)]],
+            vec![r(2, 1), r(3, 1)],
+            vec![r(0, 1)],
+        );
         let solution = solve_float_first(&form, &Deadline::unlimited(), None, &[]);
         assert_eq!(solution.status, LpStatus::Infeasible);
     }
@@ -875,18 +843,16 @@ mod tests {
     fn certifier_rejects_a_suboptimal_basis() {
         // minimize x1 with x1 + x2 = 1: optimum picks x2 basic. The basis {x1} is
         // feasible but not optimal, so certification must fail on it.
-        let form = StandardForm {
-            matrix: vec![vec![r(1, 1), r(1, 1)]],
-            rhs: vec![r(1, 1)],
-            costs: vec![r(1, 1), r(0, 1)],
-            model_columns: Vec::new(),
-        };
-        let columns = Columns::from_form(&form);
+        let form = StandardForm::from_dense_rows(
+            vec![vec![r(1, 1), r(1, 1)]],
+            vec![r(1, 1)],
+            vec![r(1, 1), r(0, 1)],
+        );
         assert!(
-            accepted(certify_basis(&form, &columns, &[0], &Deadline::unlimited())).is_none(),
+            accepted(certify_basis(&form, &[0], &Deadline::unlimited())).is_none(),
             "x1 basic is not optimal"
         );
-        let certificate = accepted(certify_basis(&form, &columns, &[1], &Deadline::unlimited()))
+        let certificate = accepted(certify_basis(&form, &[1], &Deadline::unlimited()))
             .expect("x2 basic is optimal");
         assert_eq!(certificate.values, vec![r(0, 1), r(1, 1)]);
     }
@@ -894,24 +860,18 @@ mod tests {
     #[test]
     fn certifier_rejects_infeasible_bases_and_nonzero_artificials() {
         // x1 - x2 = 1 with basis {x2}: x2 = -1 < 0 → infeasible basis.
-        let form = StandardForm {
-            matrix: vec![vec![r(1, 1), r(-1, 1)]],
-            rhs: vec![r(1, 1)],
-            costs: vec![r(0, 1), r(0, 1)],
-            model_columns: Vec::new(),
-        };
-        let columns = Columns::from_form(&form);
-        assert!(accepted(certify_basis(&form, &columns, &[1], &Deadline::unlimited())).is_none());
+        let form = StandardForm::from_dense_rows(
+            vec![vec![r(1, 1), r(-1, 1)]],
+            vec![r(1, 1)],
+            vec![r(0, 1), r(0, 1)],
+        );
+        assert!(accepted(certify_basis(&form, &[1], &Deadline::unlimited())).is_none());
         // Empty candidate: the row is covered by an artificial that must be 0 but
         // solves to 1 → reject.
-        assert!(accepted(certify_basis(&form, &columns, &[], &Deadline::unlimited())).is_none());
+        assert!(accepted(certify_basis(&form, &[], &Deadline::unlimited())).is_none());
         // With rhs = 0 the all-artificial basis is exactly feasible and optimal.
         let zero_form = StandardForm { rhs: vec![r(0, 1)], ..form };
-        let zero_columns = Columns::from_form(&zero_form);
-        assert!(
-            accepted(certify_basis(&zero_form, &zero_columns, &[], &Deadline::unlimited()))
-                .is_some()
-        );
+        assert!(accepted(certify_basis(&zero_form, &[], &Deadline::unlimited())).is_some());
     }
 
     /// minimize 2x1 + x2  s.t.  x1 - x2 = 1. Basis {x2} solves to x2 = -1: primal
@@ -919,14 +879,12 @@ mod tests {
     /// rejection must salvage the weak-duality bound y·b = -1 (≤ the optimum 2).
     #[test]
     fn rejected_dual_feasible_basis_yields_an_exact_lower_bound() {
-        let form = StandardForm {
-            matrix: vec![vec![r(1, 1), r(-1, 1)]],
-            rhs: vec![r(1, 1)],
-            costs: vec![r(2, 1), r(1, 1)],
-            model_columns: Vec::new(),
-        };
-        let columns = Columns::from_form(&form);
-        match certify_basis(&form, &columns, &[1], &Deadline::unlimited()) {
+        let form = StandardForm::from_dense_rows(
+            vec![vec![r(1, 1), r(-1, 1)]],
+            vec![r(1, 1)],
+            vec![r(2, 1), r(1, 1)],
+        );
+        match certify_basis(&form, &[1], &Deadline::unlimited()) {
             Certified::Rejected { dual_bound: Some(bound) } => assert_eq!(bound, r(-1, 1)),
             Certified::Rejected { dual_bound: None } => panic!("bound must be salvaged"),
             Certified::Accepted(_) => panic!("x2 basic is primal infeasible"),

@@ -340,13 +340,8 @@ mod tests {
     fn columns(matrix: Vec<Vec<Rational>>) -> Columns<Rational> {
         let rows = matrix.len();
         let n = matrix.first().map_or(0, Vec::len);
-        let form = StandardForm {
-            matrix,
-            rhs: vec![Rational::zero(); rows],
-            costs: vec![Rational::zero(); n],
-            model_columns: Vec::new(),
-        };
-        Columns::from_form(&form)
+        let (rhs, costs) = (vec![Rational::zero(); rows], vec![Rational::zero(); n]);
+        StandardForm::from_dense_rows(matrix, rhs, costs).columns
     }
 
     /// `B · ftran(e_i) = e_i` for every basis column: the factorization really is an

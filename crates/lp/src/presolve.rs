@@ -35,6 +35,7 @@
 //! `LpProblem::solve_f64`.
 
 use crate::problem::LpStatus;
+use crate::revised::Columns;
 use crate::scalar::Scalar;
 use crate::simplex::StandardForm;
 
@@ -94,7 +95,7 @@ struct Row<S> {
 
 /// The identity presolve: keeps every row and column (used when presolve is disabled
 /// with `DCA_LP_NO_PRESOLVE=1`, e.g. by the A/B soundness tests).
-pub(crate) fn identity<S: Scalar>(form: &StandardForm<S>) -> Presolved<S> {
+fn identity<S: Scalar>(form: &StandardForm<S>) -> Presolved<S> {
     Presolved {
         form: form.clone(),
         kept_cols: (0..form.costs.len()).collect(),
@@ -105,23 +106,23 @@ pub(crate) fn identity<S: Scalar>(form: &StandardForm<S>) -> Presolved<S> {
     }
 }
 
-/// Runs the presolve reductions to a fixpoint.
+/// Runs the presolve reductions to a fixpoint (`DCA_LP_NO_PRESOLVE=1` disables them,
+/// for A/B soundness testing).
 pub(crate) fn presolve<S: Scalar>(form: &StandardForm<S>) -> Presolved<S> {
+    if std::env::var("DCA_LP_NO_PRESOLVE").is_ok() {
+        return identity(form);
+    }
     let num_cols = form.costs.len();
-    let mut rows: Vec<Option<Row<S>>> = form
-        .matrix
-        .iter()
-        .zip(&form.rhs)
-        .map(|(row, rhs)| {
-            let terms: Vec<(usize, S)> = row
-                .iter()
-                .enumerate()
-                .filter(|(_, a)| !a.is_exactly_zero())
-                .map(|(j, a)| (j, a.clone()))
-                .collect();
-            Some(Row { terms, rhs: rhs.clone() })
-        })
-        .collect();
+    // One transpose of the column store: each row's terms in ascending column order.
+    let mut rows: Vec<Option<Row<S>>> =
+        form.rhs.iter().map(|rhs| Some(Row { terms: Vec::new(), rhs: rhs.clone() })).collect();
+    for (j, column) in form.columns.cols.iter().enumerate() {
+        for (i, a) in column {
+            if let Some(row) = &mut rows[*i] {
+                row.terms.push((j, a.clone()));
+            }
+        }
+    }
     // `None` = still free; `Some(v)` = fixed to `v`.
     let mut fixed: Vec<Option<S>> = vec![None; num_cols];
     let mut rows_removed = 0usize;
@@ -280,7 +281,7 @@ pub(crate) fn presolve<S: Scalar>(form: &StandardForm<S>) -> Presolved<S> {
     if infeasible {
         return Presolved {
             form: StandardForm {
-                matrix: Vec::new(),
+                columns: Columns { cols: Vec::new(), rows: 0 },
                 rhs: Vec::new(),
                 costs: Vec::new(),
                 model_columns: form.model_columns.clone(),
@@ -492,23 +493,17 @@ pub(crate) fn presolve<S: Scalar>(form: &StandardForm<S>) -> Presolved<S> {
     for (reduced, &orig) in kept_cols.iter().enumerate() {
         reduced_of[orig] = reduced;
     }
-    let mut matrix = Vec::new();
+    let mut cols: Vec<Vec<(usize, S)>> = vec![Vec::new(); kept_cols.len()];
     let mut rhs_out = Vec::new();
     for row in rows.iter().flatten() {
-        let mut dense = vec![S::zero(); kept_cols.len()];
-        for (col, coeff) in &row.terms {
-            dense[reduced_of[*col]] = coeff.clone();
-        }
-        let mut b = row.rhs.clone();
+        let index = rhs_out.len();
         // Substitutions can flip a right-hand side negative; re-normalize to b ≥ 0.
-        if b.is_negative() {
-            for cell in &mut dense {
-                *cell = cell.neg();
-            }
-            b = b.neg();
+        let flip = row.rhs.is_negative();
+        for (col, coeff) in &row.terms {
+            let value = if flip { coeff.neg() } else { coeff.clone() };
+            cols[reduced_of[*col]].push((index, value));
         }
-        matrix.push(dense);
-        rhs_out.push(b);
+        rhs_out.push(if flip { row.rhs.neg() } else { row.rhs.clone() });
     }
     let costs: Vec<S> = kept_cols.iter().map(|&c| form.costs[c].clone()).collect();
     let cols_removed = num_cols - kept_cols.len();
@@ -533,7 +528,7 @@ pub(crate) fn presolve<S: Scalar>(form: &StandardForm<S>) -> Presolved<S> {
         .collect();
     Presolved {
         form: StandardForm {
-            matrix,
+            columns: Columns { cols, rows: rhs_out.len() },
             rhs: rhs_out,
             costs,
             model_columns,
@@ -803,7 +798,7 @@ mod tests {
     }
 
     fn form(matrix: Vec<Vec<Rational>>, rhs: Vec<Rational>, costs: Vec<Rational>) -> StandardForm<Rational> {
-        StandardForm { matrix, rhs, costs, model_columns: Vec::new() }
+        StandardForm::from_dense_rows(matrix, rhs, costs)
     }
 
     #[test]
@@ -816,7 +811,7 @@ mod tests {
         );
         let pre = presolve(&f);
         assert_eq!(pre.verdict, None);
-        assert_eq!(pre.form.matrix.len(), 0, "both rows resolve by substitution");
+        assert_eq!(pre.form.columns.rows, 0, "both rows resolve by substitution");
         let values = pre.restore(&[], 2);
         assert_eq!(values, vec![r(3, 1), r(2, 1)]);
         assert_eq!(pre.rows_removed, 2);
@@ -868,7 +863,7 @@ mod tests {
         );
         let pre = presolve(&f);
         assert_eq!(pre.verdict, None);
-        assert_eq!(pre.form.matrix.len(), 1);
+        assert_eq!(pre.form.columns.rows, 1);
         assert_eq!(pre.rows_removed, 2);
     }
 
@@ -917,7 +912,7 @@ mod tests {
         );
         let pre = presolve(&f);
         assert_eq!(pre.verdict, None);
-        assert_eq!(pre.form.matrix.len(), 1, "the dominated row must be dropped");
+        assert_eq!(pre.form.columns.rows, 1, "the dominated row must be dropped");
         assert_eq!(pre.rows_removed, 1);
         // The orphaned slack s2 is fixed to zero by the column accounting.
         assert!(pre.fixed.iter().any(|(col, v)| *col == 3 && v.is_zero()));
@@ -939,7 +934,7 @@ mod tests {
         );
         let pre = presolve(&f);
         assert_eq!(pre.verdict, None);
-        assert_eq!(pre.form.matrix.len(), 1);
+        assert_eq!(pre.form.columns.rows, 1);
         assert_eq!(pre.rows_removed, 1);
         assert_eq!(pre.form.rhs[0], r(2, 1), "the x ≥ 2 row survives");
         // The reduced LP still has the right optimum: x = 2.
@@ -961,7 +956,7 @@ mod tests {
             vec![r(1, 1), r(0, 1), r(0, 1)],
         );
         let pre = presolve(&f);
-        assert_eq!(pre.form.matrix.len(), 2, "a range is not a dominance pair");
+        assert_eq!(pre.form.columns.rows, 2, "a range is not a dominance pair");
     }
 
     /// A zero-cost *model* variable that occurs in a single row is not a slack: its
@@ -1003,7 +998,7 @@ mod tests {
             vec![r(1, 1), r(0, 1), r(5, 1)],
         );
         let pre = presolve(&f);
-        assert_eq!(pre.form.matrix.len(), 2, "costed slack keeps its row");
+        assert_eq!(pre.form.columns.rows, 2, "costed slack keeps its row");
     }
 
     /// `x − y ≤ −1` and `y − x ≤ −1` form a negative cycle (their sum demands
@@ -1038,7 +1033,7 @@ mod tests {
         );
         let pre = presolve(&f);
         assert_eq!(pre.verdict, None);
-        assert_eq!(pre.form.matrix.len(), 0, "the forced value resolves both rows");
+        assert_eq!(pre.form.columns.rows, 0, "the forced value resolves both rows");
         let values = pre.restore(&[], 3);
         assert_eq!(values[0], r(5, 1));
     }
@@ -1080,7 +1075,7 @@ mod tests {
         );
         let pre = presolve(&f);
         assert_eq!(pre.verdict, None);
-        assert_eq!(pre.form.matrix.len(), 2, "no row may be dropped");
+        assert_eq!(pre.form.columns.rows, 2, "no row may be dropped");
         // The reduced LP still solves to the true optimum x = 1, y = 0.
         let solution = crate::simplex::solve_standard_form(&f, &crate::deadline::Deadline::unlimited(), None);
         assert_eq!(solution.status, LpStatus::Optimal);

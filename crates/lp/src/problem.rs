@@ -1,11 +1,13 @@
 //! The user-facing LP model: variables, constraints, objective, and solving entry points.
 
+use std::collections::HashMap;
 use std::fmt;
 use std::time::Duration;
 
 use dca_numeric::Rational;
 
 use crate::deadline::Deadline;
+use crate::revised::Columns;
 use crate::scalar::Scalar;
 use crate::simplex::{solve_standard_form, RawSolution, StandardForm};
 
@@ -157,6 +159,11 @@ impl LpBasis {
             hex => Some(u64::from_str_radix(hex, 16).ok()?),
         };
         Some(LpBasis { names: parts.map(str::to_string).collect(), fingerprint })
+    }
+
+    /// The standard-form column indices of the recorded names that still exist.
+    fn columns(&self, index_of: &HashMap<&str, usize>) -> Vec<usize> {
+        self.names.iter().filter_map(|name| index_of.get(name.as_str()).copied()).collect()
     }
 }
 
@@ -432,15 +439,11 @@ impl LpProblem {
     ) -> LpResult<Rational> {
         let standard = self.to_standard_form::<Rational>();
         let col_names = self.standard_col_names();
-        let warm_cols = self.warm_to_cols(warm, &col_names);
+        let index_of = column_index(&col_names);
+        let warm_cols = warm.map(|basis| basis.columns(&index_of));
         let lazy_cols: Vec<usize> = if lazy_names.is_empty() {
             Vec::new()
         } else {
-            let index_of: std::collections::HashMap<&str, usize> = col_names
-                .iter()
-                .enumerate()
-                .map(|(i, n)| (n.as_str(), i))
-                .collect();
             let free_split: std::collections::HashSet<usize> = self
                 .var_names
                 .iter()
@@ -468,7 +471,7 @@ impl LpProblem {
             warm_cols.as_deref(),
             &lazy_cols,
         );
-        self.assemble_result(raw, &col_names)
+        self.assemble_result(raw, &col_names, &standard.model_columns)
     }
 
     /// Checks whether a candidate assignment satisfies every constraint up to `tol`.
@@ -512,27 +515,13 @@ impl LpProblem {
         names
     }
 
-    /// Translates a name-matched warm basis into standard-form column indices.
-    fn warm_to_cols(&self, warm: Option<&LpBasis>, col_names: &[String]) -> Option<Vec<usize>> {
-        warm.map(|basis| {
-            let index_of: std::collections::HashMap<&str, usize> = col_names
-                .iter()
-                .enumerate()
-                .map(|(i, n)| (n.as_str(), i))
-                .collect();
-            basis
-                .names
-                .iter()
-                .filter_map(|name| index_of.get(name.as_str()).copied())
-                .collect()
-        })
-    }
-
-    /// Turns a raw standard-form solution into the user-facing [`LpResult`].
+    /// Turns a raw standard-form solution into the user-facing [`LpResult`];
+    /// `model_columns` is the standard form's column layout of the model variables.
     fn assemble_result<S: Scalar>(
         &self,
         raw: RawSolution<S>,
         col_names: &[String],
+        model_columns: &[(usize, Option<usize>)],
     ) -> LpResult<S> {
         let basis = LpBasis {
             names: raw
@@ -563,7 +552,13 @@ impl LpProblem {
         };
         match raw.status {
             LpStatus::Optimal => {
-                let values = self.recover_values::<S>(&raw.values);
+                let values: Vec<S> = model_columns
+                    .iter()
+                    .map(|&(pos, neg)| match neg {
+                        None => raw.values[pos].clone(),
+                        Some(neg) => raw.values[pos].sub(&raw.values[neg]),
+                    })
+                    .collect();
                 let objective = self
                     .objective
                     .iter()
@@ -593,9 +588,9 @@ impl LpProblem {
     fn solve_generic<S: Scalar>(&self, warm: Option<&LpBasis>) -> LpResult<S> {
         let standard = self.to_standard_form::<S>();
         let col_names = self.standard_col_names();
-        let warm_cols = self.warm_to_cols(warm, &col_names);
+        let warm_cols = warm.map(|basis| basis.columns(&column_index(&col_names)));
         let raw = solve_standard_form(&standard, &self.deadline, warm_cols.as_deref());
-        self.assemble_result(raw, &col_names)
+        self.assemble_result(raw, &col_names, &standard.model_columns)
     }
 
     /// Standard form: minimize c'y subject to Ay = b, y >= 0, b >= 0.
@@ -603,18 +598,22 @@ impl LpProblem {
     /// Model variables map to standard-form columns as follows: a `NonNegative` variable
     /// maps to one column, a `Free` variable to a pair of columns (positive and negative
     /// parts). Inequality rows receive one slack/surplus column each.
+    ///
+    /// The columns are built straight from the sparse constraint terms: duplicate
+    /// terms of a row are summed in term order, exact zeros are dropped, and a row
+    /// with a negative right-hand side is negated entry by entry (b ≥ 0).
     fn to_standard_form<S: Scalar>(&self) -> StandardForm<S> {
         // Column layout per model variable.
-        let mut columns: Vec<(usize, Option<usize>)> = Vec::with_capacity(self.num_vars());
+        let mut model_columns: Vec<(usize, Option<usize>)> = Vec::with_capacity(self.num_vars());
         let mut num_cols = 0usize;
         for kind in &self.var_kinds {
             match kind {
                 VarKind::NonNegative => {
-                    columns.push((num_cols, None));
+                    model_columns.push((num_cols, None));
                     num_cols += 1;
                 }
                 VarKind::Free => {
-                    columns.push((num_cols, Some(num_cols + 1)));
+                    model_columns.push((num_cols, Some(num_cols + 1)));
                     num_cols += 2;
                 }
             }
@@ -624,80 +623,63 @@ impl LpProblem {
             .iter()
             .filter(|c| c.op != ConstraintOp::Eq)
             .count();
-        let total_cols = num_cols + num_slacks;
 
-        let mut matrix: Vec<Vec<S>> = Vec::with_capacity(self.constraints.len());
+        let mut cols: Vec<Vec<(usize, S)>> = vec![Vec::new(); num_cols + num_slacks];
         let mut rhs: Vec<S> = Vec::with_capacity(self.constraints.len());
+        // One row's coefficients accumulate here; `touched` lists the columns to
+        // collect (a repeat is harmless: collecting resets the entry to zero).
+        let mut row_values = vec![S::zero(); num_cols];
+        let mut touched: Vec<usize> = Vec::new();
         let mut slack_idx = num_cols;
-        for constraint in &self.constraints {
-            let mut row = vec![S::zero(); total_cols];
+        for (row, constraint) in self.constraints.iter().enumerate() {
             for (var, coef) in &constraint.terms {
                 let c = S::from_rational(coef);
-                let (pos, neg) = columns[var.index()];
-                row[pos] = row[pos].add(&c);
+                let (pos, neg) = model_columns[var.index()];
+                row_values[pos] = row_values[pos].add(&c);
+                touched.push(pos);
                 if let Some(neg) = neg {
-                    row[neg] = row[neg].sub(&c);
+                    row_values[neg] = row_values[neg].sub(&c);
+                    touched.push(neg);
                 }
             }
-            match constraint.op {
-                ConstraintOp::Le => {
-                    row[slack_idx] = S::one();
-                    slack_idx += 1;
+            let b = S::from_rational(&constraint.rhs);
+            let flip = b.is_negative();
+            for col in touched.drain(..) {
+                let value = std::mem::replace(&mut row_values[col], S::zero());
+                if !value.is_exactly_zero() {
+                    cols[col].push((row, if flip { value.neg() } else { value }));
                 }
-                ConstraintOp::Ge => {
-                    row[slack_idx] = S::one().neg();
-                    slack_idx += 1;
-                }
-                ConstraintOp::Eq => {}
             }
-            let mut b = S::from_rational(&constraint.rhs);
-            // Normalize to b >= 0.
-            if b.is_negative() {
-                for cell in &mut row {
-                    *cell = cell.neg();
-                }
-                b = b.neg();
+            let slack = match constraint.op {
+                ConstraintOp::Le => Some(S::one()),
+                ConstraintOp::Ge => Some(S::one().neg()),
+                ConstraintOp::Eq => None,
+            };
+            if let Some(slack) = slack {
+                cols[slack_idx].push((row, if flip { slack.neg() } else { slack }));
+                slack_idx += 1;
             }
-            matrix.push(row);
-            rhs.push(b);
+            rhs.push(if flip { b.neg() } else { b });
         }
 
-        let mut costs = vec![S::zero(); total_cols];
+        let mut costs = vec![S::zero(); cols.len()];
         for (var, coef) in &self.objective {
             let c = S::from_rational(coef);
-            let (pos, neg) = columns[var.index()];
+            let (pos, neg) = model_columns[var.index()];
             costs[pos] = costs[pos].add(&c);
             if let Some(neg) = neg {
                 costs[neg] = costs[neg].sub(&c);
             }
         }
 
-        StandardForm { matrix, rhs, costs, model_columns: columns }
+        let columns = Columns { cols, rows: rhs.len() };
+        StandardForm { columns, rhs, costs, model_columns }
     }
+}
 
-    fn recover_values<S: Scalar>(&self, standard_values: &[S]) -> Vec<S> {
-        let mut columns: Vec<(usize, Option<usize>)> = Vec::with_capacity(self.num_vars());
-        let mut num_cols = 0usize;
-        for kind in &self.var_kinds {
-            match kind {
-                VarKind::NonNegative => {
-                    columns.push((num_cols, None));
-                    num_cols += 1;
-                }
-                VarKind::Free => {
-                    columns.push((num_cols, Some(num_cols + 1)));
-                    num_cols += 2;
-                }
-            }
-        }
-        columns
-            .iter()
-            .map(|&(pos, neg)| match neg {
-                None => standard_values[pos].clone(),
-                Some(neg) => standard_values[pos].sub(&standard_values[neg]),
-            })
-            .collect()
-    }
+/// Column name → standard-form column index.
+fn column_index(col_names: &[String]) -> HashMap<&str, usize> {
+    col_names.iter().enumerate().map(|(i, n)| (n.as_str(), i)).collect()
 }
 
 #[cfg(test)]
@@ -865,6 +847,137 @@ mod tests {
         // Malformed fingerprint fields are refused, empty bases survive.
         assert_eq!(LpBasis::from_wire("zz|x"), None);
         assert_eq!(LpBasis::from_wire("-"), Some(LpBasis::default()));
+    }
+
+    /// The dense builder the sparse `to_standard_form` replaced: one full row per
+    /// constraint, summed in term order, negated whole when the rhs is negative.
+    fn dense_standard_form<S: Scalar>(lp: &LpProblem) -> (Vec<Vec<S>>, Vec<S>, Vec<S>) {
+        let mut layout = Vec::new();
+        let mut num_cols = 0usize;
+        for kind in &lp.var_kinds {
+            let neg = (*kind == VarKind::Free).then_some(num_cols + 1);
+            layout.push((num_cols, neg));
+            num_cols += if neg.is_some() { 2 } else { 1 };
+        }
+        let slacks = lp.constraints.iter().filter(|c| c.op != ConstraintOp::Eq).count();
+        let total = num_cols + slacks;
+        let (mut matrix, mut rhs) = (Vec::new(), Vec::new());
+        let mut slack = num_cols;
+        for constraint in &lp.constraints {
+            let mut row = vec![S::zero(); total];
+            for (var, coef) in &constraint.terms {
+                let c = S::from_rational(coef);
+                let (pos, neg) = layout[var.index()];
+                row[pos] = row[pos].add(&c);
+                if let Some(neg) = neg {
+                    row[neg] = row[neg].sub(&c);
+                }
+            }
+            if constraint.op != ConstraintOp::Eq {
+                let le = constraint.op == ConstraintOp::Le;
+                row[slack] = if le { S::one() } else { S::one().neg() };
+                slack += 1;
+            }
+            let mut b = S::from_rational(&constraint.rhs);
+            if b.is_negative() {
+                row = row.iter().map(Scalar::neg).collect();
+                b = b.neg();
+            }
+            matrix.push(row);
+            rhs.push(b);
+        }
+        let mut costs = vec![S::zero(); total];
+        for (var, coef) in &lp.objective {
+            let c = S::from_rational(coef);
+            let (pos, neg) = layout[var.index()];
+            costs[pos] = costs[pos].add(&c);
+            if let Some(neg) = neg {
+                costs[neg] = costs[neg].sub(&c);
+            }
+        }
+        (matrix, rhs, costs)
+    }
+
+    /// Equal values with equal `f64` images, bit for bit.
+    fn same<S: Scalar>(a: &S, b: &S) -> bool {
+        a == b && a.to_f64().to_bits() == b.to_f64().to_bits()
+    }
+
+    /// Checks the sparse form of `lp` against the dense reference entry for entry.
+    fn check_sparse_matches_dense<S: Scalar>(lp: &LpProblem, case: usize) {
+        let form = lp.to_standard_form::<S>();
+        let (matrix, rhs, costs) = dense_standard_form::<S>(lp);
+        assert_eq!(form.columns.rows, matrix.len(), "case {case}");
+        assert_eq!(form.columns.cols.len(), costs.len(), "case {case}");
+        assert!(form.rhs.iter().zip(&rhs).all(|(a, b)| same(a, b)), "case {case}: rhs");
+        assert!(form.costs.iter().zip(&costs).all(|(a, b)| same(a, b)), "case {case}: costs");
+        for (j, column) in form.columns.cols.iter().enumerate() {
+            assert!(column.windows(2).all(|w| w[0].0 < w[1].0), "case {case}: col {j} order");
+            assert!(column.iter().all(|(_, v)| !v.is_exactly_zero()), "case {case}: stored zero");
+            let expected: Vec<(usize, &S)> = matrix
+                .iter()
+                .enumerate()
+                .filter(|(_, row)| !row[j].is_exactly_zero())
+                .map(|(i, row)| (i, &row[j]))
+                .collect();
+            assert_eq!(column.len(), expected.len(), "case {case}: col {j} support");
+            for ((row, value), (i, reference)) in column.iter().zip(expected) {
+                assert!(*row == i && same(value, reference), "case {case}: col {j} row {i}");
+            }
+        }
+    }
+
+    /// The sparse builder against the dense reference on seeded random problems with
+    /// duplicate (and cancelling) terms, free variables, every operator and
+    /// negative right-hand sides, in both scalar types.
+    #[test]
+    fn sparse_standard_form_matches_the_dense_reference() {
+        let mut seed = 0x5DEECE66Du64;
+        let mut next = move || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed
+        };
+        let (mut cancelled, mut flipped, mut free) = (0usize, 0usize, 0usize);
+        for case in 0..400 {
+            let mut lp = LpProblem::new();
+            let vars: Vec<LpVar> = (0..1 + next() % 7)
+                .map(|i| {
+                    let kind = if next() % 3 == 0 { VarKind::Free } else { VarKind::NonNegative };
+                    free += usize::from(kind == VarKind::Free);
+                    lp.add_var(format!("v{i}"), kind)
+                })
+                .collect();
+            let coefficient = |next: &mut dyn FnMut() -> u64| {
+                Rational::new((next() % 9) as i64 - 4, 1 + (next() % 7) as i64)
+            };
+            for _ in 0..1 + next() % 8 {
+                let mut terms = Vec::new();
+                for _ in 0..next() % 7 {
+                    let var = vars[(next() % vars.len() as u64) as usize];
+                    let c = coefficient(&mut next);
+                    if next() % 4 == 0 {
+                        // A duplicate pair that cancels to an exact zero.
+                        terms.push((var, -c.clone()));
+                        cancelled += 1;
+                    }
+                    terms.push((var, c));
+                }
+                let ops = [ConstraintOp::Le, ConstraintOp::Ge, ConstraintOp::Eq];
+                let op = ops[(next() % 3) as usize];
+                let rhs = coefficient(&mut next);
+                flipped += usize::from(rhs.is_negative());
+                lp.add_constraint(terms, op, rhs);
+            }
+            let objective = (0..next() % 4)
+                .map(|_| (vars[(next() % vars.len() as u64) as usize], coefficient(&mut next)))
+                .collect();
+            lp.set_objective(objective);
+            check_sparse_matches_dense::<Rational>(&lp, case);
+            check_sparse_matches_dense::<f64>(&lp, case);
+        }
+        assert!(cancelled > 0 && flipped > 0 && free > 0, "the generator covers every shape");
     }
 
     #[test]

@@ -111,6 +111,7 @@ impl<S: Scalar> Eta<S> {
 }
 
 /// The sparse constraint matrix plus the virtual artificial identity columns.
+#[derive(Debug, Clone)]
 pub(crate) struct Columns<S> {
     /// Structural columns: `cols[j]` is the list of `(row, value)` non-zeros.
     pub(crate) cols: Vec<Vec<(usize, S)>>,
@@ -119,21 +120,29 @@ pub(crate) struct Columns<S> {
 }
 
 impl<S: Scalar> Columns<S> {
-    /// Builds the column-major form of a standard-form constraint matrix.
-    pub(crate) fn from_form(form: &StandardForm<S>) -> Columns<S> {
-        Columns {
-            cols: (0..form.costs.len())
-                .map(|j| {
-                    form.matrix
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, row)| !row[j].is_exactly_zero())
-                        .map(|(i, row)| (i, row[j].clone()))
-                        .collect()
-                })
-                .collect(),
-            rows: form.matrix.len(),
-        }
+    /// Number of stored non-zeros.
+    pub(crate) fn nnz(&self) -> usize {
+        self.cols.iter().map(Vec::len).sum()
+    }
+
+    /// The sub-matrix of the given columns, in the given order, over every row.
+    pub(crate) fn select(&self, cols: &[usize]) -> Columns<S> {
+        Columns { cols: cols.iter().map(|&j| self.cols[j].clone()).collect(), rows: self.rows }
+    }
+
+    /// The entrywise image under `f`; entries that map to exact zero are dropped.
+    pub(crate) fn map<T: Scalar>(&self, f: impl Fn(&S) -> T) -> Columns<T> {
+        let cols = self
+            .cols
+            .iter()
+            .map(|col| {
+                col.iter()
+                    .map(|(row, value)| (*row, f(value)))
+                    .filter(|(_, value)| !value.is_exactly_zero())
+                    .collect()
+            })
+            .collect();
+        Columns { cols, rows: self.rows }
     }
 
     pub(crate) fn scatter(&self, col: usize, out: &mut [S]) {
@@ -476,11 +485,10 @@ pub(crate) fn solve_revised_capped<S: Scalar>(
     phase1_noise_floor: f64,
     iter_cap: Option<usize>,
 ) -> RevisedOutcome<S> {
-    let m = form.matrix.len();
+    let m = form.columns.rows;
     let n = form.costs.len();
-    let columns = Columns::from_form(form);
 
-    let mut state = State::new(&columns, form, warm);
+    let mut state = State::new(form, warm);
     let max_iters = iter_cap.unwrap_or(200 * (m + n) + 2000);
     let debug = std::env::var("DCA_LP_DEBUG").is_ok();
 
@@ -665,7 +673,8 @@ struct State<'a, S> {
 }
 
 impl<'a, S: Scalar> State<'a, S> {
-    fn new(columns: &'a Columns<S>, form: &'a StandardForm<S>, warm: Option<&[usize]>) -> Self {
+    fn new(form: &'a StandardForm<S>, warm: Option<&[usize]>) -> Self {
+        let columns = &form.columns;
         let m = columns.rows;
         let n = columns.cols.len();
         let build = |preferred: &[usize]| -> (Factorization<S>, Vec<S>) {
@@ -1464,12 +1473,11 @@ mod tests {
     /// minimize -x - y  s.t.  x + y + s = 4: optimum 4 at x + y = 4.
     #[test]
     fn small_exact_lp() {
-        let form = StandardForm {
-            matrix: vec![vec![r(1, 1), r(1, 1), r(1, 1)]],
-            rhs: vec![r(4, 1)],
-            costs: vec![r(-1, 1), r(-1, 1), r(0, 1)],
-            model_columns: Vec::new(),
-        };
+        let form = StandardForm::from_dense_rows(
+            vec![vec![r(1, 1), r(1, 1), r(1, 1)]],
+            vec![r(4, 1)],
+            vec![r(-1, 1), r(-1, 1), r(0, 1)],
+        );
         let out = solve_revised(&form, &Deadline::unlimited(), None, 0.0);
         assert_eq!(out.status, LpStatus::Optimal);
         let total = out.values[0].clone() + out.values[1].clone();
@@ -1480,12 +1488,11 @@ mod tests {
     #[test]
     fn infeasible_exact_lp() {
         // x = 2 and x = 3 (as two equality rows over one column).
-        let form = StandardForm {
-            matrix: vec![vec![r(1, 1)], vec![r(1, 1)]],
-            rhs: vec![r(2, 1), r(3, 1)],
-            costs: vec![r(0, 1)],
-            model_columns: Vec::new(),
-        };
+        let form = StandardForm::from_dense_rows(
+            vec![vec![r(1, 1)], vec![r(1, 1)]],
+            vec![r(2, 1), r(3, 1)],
+            vec![r(0, 1)],
+        );
         let out = solve_revised(&form, &Deadline::unlimited(), None, 0.0);
         assert_eq!(out.status, LpStatus::Infeasible);
     }
@@ -1493,12 +1500,8 @@ mod tests {
     #[test]
     fn unbounded_f64_lp() {
         // minimize -x s.t. x - s = 1 (x unbounded above).
-        let form = StandardForm {
-            matrix: vec![vec![1.0f64, -1.0]],
-            rhs: vec![1.0],
-            costs: vec![-1.0, 0.0],
-            model_columns: Vec::new(),
-        };
+        let form =
+            StandardForm::from_dense_rows(vec![vec![1.0f64, -1.0]], vec![1.0], vec![-1.0, 0.0]);
         let out = solve_revised(&form, &Deadline::unlimited(), None, 0.0);
         assert_eq!(out.status, LpStatus::Unbounded);
     }
@@ -1506,15 +1509,14 @@ mod tests {
     #[test]
     fn warm_start_reuses_the_final_basis() {
         // minimize x + y s.t. x + 2y - s1 = 4, 3x + y - s2 = 6.
-        let form = StandardForm {
-            matrix: vec![
+        let form = StandardForm::from_dense_rows(
+            vec![
                 vec![1.0f64, 2.0, -1.0, 0.0],
                 vec![3.0, 1.0, 0.0, -1.0],
             ],
-            rhs: vec![4.0, 6.0],
-            costs: vec![1.0, 1.0, 0.0, 0.0],
-            model_columns: Vec::new(),
-        };
+            vec![4.0, 6.0],
+            vec![1.0, 1.0, 0.0, 0.0],
+        );
         let cold = solve_revised(&form, &Deadline::unlimited(), None, 0.0);
         assert_eq!(cold.status, LpStatus::Optimal);
         assert!((cold.values[0] - 1.6).abs() < 1e-6);
@@ -1555,19 +1557,8 @@ mod tests {
                         .collect()
                 })
                 .collect();
-            let columns = Columns {
-                cols: (0..n)
-                    .map(|j| {
-                        matrix
-                            .iter()
-                            .enumerate()
-                            .filter(|(_, row)| row[j] != 0.0)
-                            .map(|(i, row)| (i, row[j]))
-                            .collect()
-                    })
-                    .collect(),
-                rows: m,
-            };
+            let columns =
+                StandardForm::from_dense_rows(matrix.clone(), vec![0.0; m], vec![0.0; n]).columns;
             // Preferred list with duplicates and likely-dependent columns.
             let preferred: Vec<usize> = (0..n + 2).map(|_| (next() % n as u64) as usize).collect();
             let (factor, _, _) = Factorization::reinvert(&columns, &preferred, PIVOT_EPS);
@@ -1625,16 +1616,15 @@ mod tests {
     #[test]
     fn degenerate_rhs_terminates() {
         // Heavily degenerate: three equality rows with zero rhs over five columns.
-        let form = StandardForm {
-            matrix: vec![
+        let form = StandardForm::from_dense_rows(
+            vec![
                 vec![1.0f64, -1.0, 0.0, 1.0, 0.0],
                 vec![0.0, 1.0, -1.0, 0.0, 1.0],
                 vec![1.0, 0.0, -1.0, 1.0, 1.0],
             ],
-            rhs: vec![0.0, 0.0, 0.0],
-            costs: vec![1.0, 1.0, 1.0, 0.0, 0.0],
-            model_columns: Vec::new(),
-        };
+            vec![0.0, 0.0, 0.0],
+            vec![1.0, 1.0, 1.0, 0.0, 0.0],
+        );
         let out = solve_revised(&form, &Deadline::unlimited(), None, 0.0);
         assert_eq!(out.status, LpStatus::Optimal);
         assert!(out.values.iter().all(|v| v.abs() < 1e-9));

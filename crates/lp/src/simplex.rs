@@ -22,24 +22,46 @@ use std::time::Instant;
 
 use crate::certify::PhaseStats;
 use crate::deadline::Deadline;
-use crate::presolve::presolve;
+use crate::presolve::{presolve, Presolved};
 use crate::problem::LpStatus;
-use crate::revised::solve_revised_capped;
+use crate::revised::{solve_revised_capped, Columns};
 use crate::scalar::{abs as abs_scalar, Scalar};
 
-/// A problem in standard form: minimize `costs · y` subject to `matrix · y = rhs`,
+/// A problem in standard form: minimize `costs · y` subject to `A · y = rhs`,
 /// `y ≥ 0`, with `rhs ≥ 0` componentwise.
+///
+/// `A` is stored sparse and column-major, exactly as the revised simplex consumes
+/// it: the Handelman systems are 99.7% zeros, so a dense copy of one degree-3
+/// system in rationals would run to hundreds of megabytes.
 #[derive(Debug, Clone)]
 pub(crate) struct StandardForm<S> {
-    /// Constraint matrix, one row per equality.
-    pub matrix: Vec<Vec<S>>,
+    /// Constraint matrix: per column, its `(row, value)` non-zeros in ascending row
+    /// order, with no stored zeros; `columns.rows` is the number of equalities.
+    pub columns: Columns<S>,
     /// Right-hand sides (all non-negative).
     pub rhs: Vec<S>,
     /// Objective coefficients.
     pub costs: Vec<S>,
     /// Column layout of the original model variables (positive column, optional negative
-    /// column for free variables). Carried along for diagnostics.
+    /// column for free variables). Presolve uses it to tell model columns from slacks.
     pub model_columns: Vec<(usize, Option<usize>)>,
+}
+
+impl<S: Scalar> StandardForm<S> {
+    /// Builds a form from dense rows (test fixtures), dropping exact zeros.
+    #[cfg(test)]
+    pub(crate) fn from_dense_rows(matrix: Vec<Vec<S>>, rhs: Vec<S>, costs: Vec<S>) -> Self {
+        let mut cols = vec![Vec::new(); costs.len()];
+        for (i, row) in matrix.iter().enumerate() {
+            for (col, value) in cols.iter_mut().zip(row) {
+                if !value.is_exactly_zero() {
+                    col.push((i, value.clone()));
+                }
+            }
+        }
+        let columns = Columns { cols, rows: matrix.len() };
+        StandardForm { columns, rhs, costs, model_columns: Vec::new() }
+    }
 }
 
 /// Raw solver output over standard-form columns.
@@ -425,32 +447,8 @@ pub(crate) fn solve_standard_form<S: Scalar>(
     warm: Option<&[usize]>,
 ) -> RawSolution<S> {
     let num_original_cols = form.costs.len();
-    // `DCA_LP_NO_PRESOLVE=1` disables the reductions (A/B soundness testing).
-    let pre = if std::env::var("DCA_LP_NO_PRESOLVE").is_ok() {
-        crate::presolve::identity(form)
-    } else {
-        presolve(form)
-    };
-    if let Some(status) = pre.verdict {
-        let mut solution = RawSolution::bare(status);
-        solution.presolve_rows_removed = pre.rows_removed;
-        solution.presolve_cols_removed = pre.cols_removed;
-        return solution;
-    }
-    if pre.form.matrix.is_empty() {
-        // Presolve resolved every constraint, which certifies feasibility. Surviving
-        // columns are unconstrained: with non-negative costs zero (the `restore`
-        // default) is optimal; a surviving negative-cost column (presolve keeps
-        // those — see `presolve.rs`) is now a genuine unbounded ray.
-        let unbounded = pre.form.costs.iter().any(Scalar::is_negative);
-        let mut solution =
-            RawSolution::bare(if unbounded { LpStatus::Unbounded } else { LpStatus::Optimal });
-        if !unbounded {
-            solution.values =
-                pre.restore(&vec![S::zero(); pre.kept_cols.len()], num_original_cols);
-        }
-        solution.presolve_rows_removed = pre.rows_removed;
-        solution.presolve_cols_removed = pre.cols_removed;
+    let pre = presolve(form);
+    if let Some(solution) = settled_by_presolve(&pre, num_original_cols) {
         return solution;
     }
     let warm_reduced: Option<Vec<usize>> = warm.map(|w| pre.map_cols(w));
@@ -459,7 +457,7 @@ pub(crate) fn solve_standard_form<S: Scalar>(
     // failure mode — and the stall itself is what burns the time (thousands of
     // zero-progress pivots before the tolerance gives up). Above the row threshold the
     // perturbation is applied from the start instead of after a failed plain solve.
-    let perturb_immediately = !S::IS_EXACT && pre.form.matrix.len() >= PERTURB_ROWS_THRESHOLD;
+    let perturb_immediately = !S::IS_EXACT && pre.form.columns.rows >= PERTURB_ROWS_THRESHOLD;
     let first_perturbation = if perturb_immediately { PERTURBATION } else { 0.0 };
     let mut solution = solve_standard_form_inner(
         &pre.form,
@@ -489,6 +487,31 @@ pub(crate) fn solve_standard_form<S: Scalar>(
     solution
 }
 
+/// The solution when presolve decided the problem outright — a verdict, or no
+/// constraint left — and `None` when the simplex has work to do.
+pub(crate) fn settled_by_presolve<S: Scalar>(
+    pre: &Presolved<S>,
+    num_original_cols: usize,
+) -> Option<RawSolution<S>> {
+    let status = match pre.verdict {
+        Some(status) => status,
+        None if pre.form.columns.rows > 0 => return None,
+        // Presolve resolved every constraint, which certifies feasibility. Surviving
+        // columns are unconstrained: with non-negative costs zero (the `restore`
+        // default) is optimal; a surviving negative-cost column (presolve keeps
+        // those — see `presolve.rs`) is now a genuine unbounded ray.
+        None if pre.form.costs.iter().any(Scalar::is_negative) => LpStatus::Unbounded,
+        None => LpStatus::Optimal,
+    };
+    let mut solution = RawSolution::bare(status);
+    if status == LpStatus::Optimal {
+        solution.values = pre.restore(&vec![S::zero(); pre.kept_cols.len()], num_original_cols);
+    }
+    solution.presolve_rows_removed = pre.rows_removed;
+    solution.presolve_cols_removed = pre.cols_removed;
+    Some(solution)
+}
+
 /// Magnitude of the anti-degeneracy right-hand-side perturbation (applied to the
 /// equilibrated system, whose entries are at most 1 in magnitude).
 pub(crate) const PERTURBATION: f64 = 1e-7;
@@ -507,73 +530,35 @@ pub(crate) fn solve_standard_form_inner<S: Scalar>(
     warm: Option<&[usize]>,
     iter_cap: Option<usize>,
 ) -> RawSolution<S> {
-    let num_rows = form.matrix.len();
+    let num_rows = form.columns.rows;
     let num_structural = form.costs.len();
-    let _ = &form.model_columns;
 
-    // Equilibration: scale columns and rows so that tableau entries stay near unit
-    // magnitude. This matters for the floating-point backend on problems whose raw
-    // coefficients span several orders of magnitude (the degree-3 Handelman products
-    // such as (100 - n)^3 span six). Column scaling substitutes y_j = s_j * x_j, so
-    // the solution is rescaled at the end; row scaling multiplies an equality by a
-    // positive factor and needs no compensation. The column/row passes are iterated
-    // (Ruiz-style): one pass leaves the opposite dimension unbalanced again, and on
-    // the big degenerate systems the residual imbalance is what drove the basis
-    // factorizations ill-conditioned.
-    // Exact arithmetic skips equilibration entirely: conditioning is a floating-point
-    // concern, and dividing the (almost always small-integer) Handelman data by
-    // max-abs scale factors would only manufacture fraction-heavy rationals — pushing
-    // the i128 fast path into gcd-heavy or BigInt territory on every pivot.
-    let equilibration_passes = if S::IS_EXACT { 0 } else { 3 };
-    let mut form = form.clone();
-    let abs = abs_scalar::<S>;
+    // Exact arithmetic skips equilibration entirely (see `equilibrate`) and is never
+    // perturbed, so the exact path solves the caller's form as-is, without a copy.
     let mut column_scales = vec![S::one(); num_structural];
-    for _ in 0..equilibration_passes {
-        for (column, scale) in column_scales.iter_mut().enumerate() {
-            let mut max_abs = S::zero();
-            for row in &form.matrix {
-                let a = abs(&row[column]);
-                if max_abs.lt(&a) {
-                    max_abs = a;
-                }
-            }
-            if !max_abs.is_zero() {
-                *scale = scale.mul(&max_abs);
-                for row in &mut form.matrix {
-                    row[column] = row[column].div(&max_abs);
-                }
-                form.costs[column] = form.costs[column].div(&max_abs);
-            }
-        }
-        for (row, rhs) in form.matrix.iter_mut().zip(form.rhs.iter_mut()) {
-            let mut max_abs = S::zero();
-            for cell in row.iter().chain(std::iter::once(&*rhs)) {
-                let a = abs(cell);
-                if max_abs.lt(&a) {
-                    max_abs = a;
-                }
-            }
-            if max_abs.is_zero() {
-                continue;
-            }
-            for cell in row.iter_mut() {
-                *cell = cell.div(&max_abs);
-            }
-            *rhs = rhs.div(&max_abs);
-        }
-    }
-    // Anti-degeneracy perturbation (see `solve_standard_form`): a small deterministic
-    // positive offset per row, varied across rows so no two ratios tie. Only ever
-    // non-zero on the floating-point retry path.
     let mut total_perturbation = 0.0f64;
-    if perturbation > 0.0 {
-        for (index, rhs) in form.rhs.iter_mut().enumerate() {
-            let offset = perturbation * (1.0 + ((index * 7919) % 104_729) as f64 / 104_729.0);
-            total_perturbation += offset;
-            *rhs = rhs.add(&S::from_rational(&dca_numeric::Rational::from_f64(offset)));
+    let prepared;
+    let form = if S::IS_EXACT && perturbation == 0.0 {
+        form
+    } else {
+        let mut copy = form.clone();
+        if !S::IS_EXACT {
+            column_scales = equilibrate(&mut copy, 3);
         }
-    }
-    let form = &form;
+        // Anti-degeneracy perturbation (see `solve_standard_form`): a small
+        // deterministic positive offset per row, varied across rows so no two ratios
+        // tie. Only ever non-zero on the floating-point path.
+        if perturbation > 0.0 {
+            for (index, rhs) in copy.rhs.iter_mut().enumerate() {
+                let offset =
+                    perturbation * (1.0 + ((index * 7919) % 104_729) as f64 / 104_729.0);
+                total_perturbation += offset;
+                *rhs = rhs.add(&S::from_rational(&dca_numeric::Rational::from_f64(offset)));
+            }
+        }
+        prepared = copy;
+        &prepared
+    };
 
     if num_rows == 0 {
         // No constraints: the optimum is 0 unless some cost is negative (unbounded).
@@ -645,16 +630,87 @@ pub(crate) fn solve_standard_form_inner<S: Scalar>(
     }
 }
 
+/// Equilibration: scales columns and rows so that entries stay near unit magnitude,
+/// and returns the column scales `s_j` (the solution is `x_j = y_j / s_j`).
+///
+/// This matters for the floating-point backend on problems whose raw coefficients
+/// span several orders of magnitude (the degree-3 Handelman products such as
+/// `(100 - n)^3` span six). Column scaling substitutes `y_j = s_j · x_j`; row scaling
+/// multiplies an equality by a positive factor and needs no compensation. The
+/// column/row passes are iterated (Ruiz-style): one pass leaves the opposite
+/// dimension unbalanced again, and on the big degenerate systems the residual
+/// imbalance is what drove the basis factorizations ill-conditioned.
+///
+/// Exact arithmetic never comes here: conditioning is a floating-point concern, and
+/// dividing the (almost always small-integer) Handelman data by max-abs scale
+/// factors would only manufacture fraction-heavy rationals — pushing the 64-bit fast
+/// path into gcd-heavy or BigInt territory on every pivot.
+///
+/// Each pass is one sweep over each column's entries plus a row-max accumulator.
+/// Zeros never raise a maximum and divide to zero, so skipping them leaves every
+/// stored value bit-for-bit what a dense sweep computes; entries a division
+/// underflowed to zero are dropped at the end.
+fn equilibrate<S: Scalar>(form: &mut StandardForm<S>, passes: usize) -> Vec<S> {
+    let abs = abs_scalar::<S>;
+    let raise = |max_abs: &mut S, value: &S| {
+        let a = abs(value);
+        if max_abs.lt(&a) {
+            *max_abs = a;
+        }
+    };
+    let mut column_scales = vec![S::one(); form.costs.len()];
+    let mut row_max = vec![S::zero(); form.rhs.len()];
+    for _ in 0..passes {
+        for (max_abs, rhs) in row_max.iter_mut().zip(&form.rhs) {
+            *max_abs = S::zero();
+            raise(max_abs, rhs);
+        }
+        let columns = form.columns.cols.iter_mut().zip(&mut form.costs);
+        for ((column, cost), scale) in columns.zip(column_scales.iter_mut()) {
+            let mut max_abs = S::zero();
+            for (_, value) in column.iter() {
+                raise(&mut max_abs, value);
+            }
+            if !max_abs.is_zero() {
+                *scale = scale.mul(&max_abs);
+                for (_, value) in column.iter_mut() {
+                    *value = value.div(&max_abs);
+                }
+                *cost = cost.div(&max_abs);
+            }
+            for (row, value) in column.iter() {
+                raise(&mut row_max[*row], value);
+            }
+        }
+        for column in &mut form.columns.cols {
+            for (row, value) in column.iter_mut() {
+                if !row_max[*row].is_zero() {
+                    *value = value.div(&row_max[*row]);
+                }
+            }
+        }
+        for (rhs, max_abs) in form.rhs.iter_mut().zip(&row_max) {
+            if !max_abs.is_zero() {
+                *rhs = rhs.div(max_abs);
+            }
+        }
+    }
+    for column in &mut form.columns.cols {
+        column.retain(|(_, value)| !value.is_exactly_zero());
+    }
+    column_scales
+}
+
 /// The dense two-phase tableau solve (the crate's original algorithm), over an already
 /// equilibrated and perturbed system. Kept as the floating-point rescue path; see the
-/// module docs.
+/// module docs. It is the one place the sparse form is densified, and only locally.
 fn solve_dense<S: Scalar>(
     form: &StandardForm<S>,
     deadline: &Deadline,
     noise_floor: f64,
 ) -> crate::revised::RevisedOutcome<S> {
     use crate::revised::RevisedOutcome;
-    let num_rows = form.matrix.len();
+    let num_rows = form.columns.rows;
     let num_structural = form.costs.len();
     let fail = |status| RevisedOutcome {
         status,
@@ -669,12 +725,14 @@ fn solve_dense<S: Scalar>(
 
     // Phase 1: add one artificial variable per row and minimize their sum.
     let num_cols = num_structural + num_rows;
-    let mut rows = Vec::with_capacity(num_rows);
-    for (i, row) in form.matrix.iter().enumerate() {
-        let mut extended = row.clone();
-        extended.resize(num_cols, S::zero());
-        extended[num_structural + i] = S::one();
-        rows.push(extended);
+    let mut rows = vec![vec![S::zero(); num_cols]; num_rows];
+    for (j, column) in form.columns.cols.iter().enumerate() {
+        for (i, value) in column {
+            rows[*i][j] = value.clone();
+        }
+    }
+    for (i, row) in rows.iter_mut().enumerate() {
+        row[num_structural + i] = S::one();
     }
     // The untouched extended system, kept for mid-run and verdict-time tableau
     // refactorization (f64 drift recovery).
@@ -814,10 +872,12 @@ mod tests {
     #[test]
     fn standard_form_direct() {
         let form = StandardForm {
-            matrix: vec![vec![r(1, 1), r(1, 1), r(1, 1)]],
-            rhs: vec![r(4, 1)],
-            costs: vec![r(-1, 1), r(-1, 1), r(0, 1)],
             model_columns: vec![(0, None), (1, None)],
+            ..StandardForm::from_dense_rows(
+                vec![vec![r(1, 1), r(1, 1), r(1, 1)]],
+                vec![r(4, 1)],
+                vec![r(-1, 1), r(-1, 1), r(0, 1)],
+            )
         };
         let sol = solve_standard_form(&form, &Deadline::unlimited(), None);
         assert_eq!(sol.status, LpStatus::Optimal);
@@ -828,10 +888,8 @@ mod tests {
     #[test]
     fn empty_problem() {
         let form: StandardForm<Rational> = StandardForm {
-            matrix: vec![],
-            rhs: vec![],
-            costs: vec![Rational::one()],
             model_columns: vec![(0, None)],
+            ..StandardForm::from_dense_rows(vec![], vec![], vec![Rational::one()])
         };
         let sol = solve_standard_form(&form, &Deadline::unlimited(), None);
         assert_eq!(sol.status, LpStatus::Optimal);
@@ -842,10 +900,12 @@ mod tests {
     fn redundant_equality_rows() {
         // x = 2 stated twice; minimize x.
         let form = StandardForm {
-            matrix: vec![vec![r(1, 1)], vec![r(1, 1)]],
-            rhs: vec![r(2, 1), r(2, 1)],
-            costs: vec![r(1, 1)],
             model_columns: vec![(0, None)],
+            ..StandardForm::from_dense_rows(
+                vec![vec![r(1, 1)], vec![r(1, 1)]],
+                vec![r(2, 1), r(2, 1)],
+                vec![r(1, 1)],
+            )
         };
         let sol = solve_standard_form(&form, &Deadline::unlimited(), None);
         assert_eq!(sol.status, LpStatus::Optimal);
@@ -872,7 +932,7 @@ mod tests {
                 .collect();
             let rhs: Vec<Rational> = (0..m).map(|_| r((next() % 5) as i64, 1)).collect();
             let costs: Vec<Rational> = (0..n).map(|_| r((next() % 7) as i64 - 3, 1)).collect();
-            let form = StandardForm { matrix, rhs, costs: costs.clone(), model_columns: Vec::new() };
+            let form = StandardForm::from_dense_rows(matrix, rhs, costs.clone());
             let objective = |values: &[Rational]| -> Rational {
                 values
                     .iter()
@@ -917,7 +977,7 @@ mod tests {
                 .map(|_| if next() % 4 == 0 { (next() % 5) as f64 } else { 0.0 })
                 .collect();
             let costs: Vec<f64> = (0..n).map(|_| ((next() % 7) as i64 - 3) as f64).collect();
-            let form = StandardForm { matrix, rhs, costs: costs.clone(), model_columns: Vec::new() };
+            let form = StandardForm::from_dense_rows(matrix, rhs, costs.clone());
             let objective = |values: &[f64]| -> f64 {
                 values.iter().zip(&costs).map(|(v, c)| v * c).sum()
             };
@@ -975,7 +1035,7 @@ mod tests {
                 .map(|_| if next() % 3 == 0 { (next() % 6) as f64 } else { 0.0 })
                 .collect();
             let costs: Vec<f64> = (0..n).map(|_| ((next() % 9) as i64 - 4) as f64).collect();
-            let form = StandardForm { matrix, rhs, costs: costs.clone(), model_columns: Vec::new() };
+            let form = StandardForm::from_dense_rows(matrix, rhs, costs.clone());
             let objective = |values: &[f64]| -> f64 {
                 values.iter().zip(&costs).map(|(v, c)| v * c).sum()
             };
@@ -1000,14 +1060,118 @@ mod tests {
         }
     }
 
+    /// The dense equilibration loop the sparse `equilibrate` replaced, verbatim
+    /// over dense rows.
+    fn equilibrate_dense(matrix: &mut [Vec<f64>], rhs: &mut [f64], costs: &mut [f64]) -> Vec<f64> {
+        let abs = abs_scalar::<f64>;
+        let mut column_scales = vec![1.0f64; costs.len()];
+        for _ in 0..3 {
+            for (column, scale) in column_scales.iter_mut().enumerate() {
+                let mut max_abs = 0.0f64;
+                for row in matrix.iter() {
+                    let a = abs(&row[column]);
+                    if Scalar::lt(&max_abs, &a) {
+                        max_abs = a;
+                    }
+                }
+                if !Scalar::is_zero(&max_abs) {
+                    *scale = Scalar::mul(scale, &max_abs);
+                    for row in matrix.iter_mut() {
+                        row[column] = Scalar::div(&row[column], &max_abs);
+                    }
+                    costs[column] = Scalar::div(&costs[column], &max_abs);
+                }
+            }
+            for (row, rhs) in matrix.iter_mut().zip(rhs.iter_mut()) {
+                let mut max_abs = 0.0f64;
+                for cell in row.iter().chain(std::iter::once(&*rhs)) {
+                    let a = abs(cell);
+                    if Scalar::lt(&max_abs, &a) {
+                        max_abs = a;
+                    }
+                }
+                if Scalar::is_zero(&max_abs) {
+                    continue;
+                }
+                for cell in row.iter_mut() {
+                    *cell = Scalar::div(cell, &max_abs);
+                }
+                *rhs = Scalar::div(rhs, &max_abs);
+            }
+        }
+        column_scales
+    }
+
+    /// The sparse equilibration must reproduce the dense loop bit for bit: every
+    /// entry, right-hand side, cost and column scale, with the same support. The
+    /// forms mix magnitudes from 1e-10 (below the zero tolerance) to 1e6 and always
+    /// hold an all-zero column, a column of tolerance-zero entries, a row whose
+    /// maximum is its right-hand side and a sign-flipped row.
+    #[test]
+    fn sparse_equilibration_is_bit_identical_to_the_dense_loop() {
+        let mut seed = 0x0123_4567_89AB_CDEFu64;
+        let mut next = move || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed
+        };
+        for case in 0..300 {
+            let m = 2 + (next() % 9) as usize;
+            let n = 3 + (next() % 12) as usize;
+            let value = |next: &mut dyn FnMut() -> u64| -> f64 {
+                let mantissa = (1 + next() % 1000) as f64 / 7.0;
+                let exponent = (next() % 17) as i32 - 10;
+                let sign = if next().is_multiple_of(2) { 1.0 } else { -1.0 };
+                sign * mantissa * 10f64.powi(exponent)
+            };
+            let mut entry = || if next().is_multiple_of(2) { value(&mut next) } else { 0.0 };
+            let mut matrix: Vec<Vec<f64>> =
+                (0..m).map(|_| (0..n).map(|_| entry()).collect()).collect();
+            let mut rhs: Vec<f64> = (0..m).map(|_| value(&mut next).abs()).collect();
+            let mut costs: Vec<f64> = (0..n).map(|_| value(&mut next)).collect();
+            for (i, row) in matrix.iter_mut().enumerate() {
+                row[0] = 0.0;
+                row[1] = if i.is_multiple_of(2) { 3e-9 } else { -7e-10 };
+            }
+            let row_max = matrix[0].iter().fold(0.0f64, |acc, v| acc.max(v.abs()));
+            rhs[0] = 10.0 * row_max + 1.0;
+            for cell in &mut matrix[1] {
+                *cell = -*cell;
+            }
+
+            let mut form =
+                StandardForm::from_dense_rows(matrix.clone(), rhs.clone(), costs.clone());
+            let scales = equilibrate(&mut form, 3);
+            let dense_scales = equilibrate_dense(&mut matrix, &mut rhs, &mut costs);
+            let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&scales), bits(&dense_scales), "case {case}: column scales");
+            assert_eq!(bits(&form.rhs), bits(&rhs), "case {case}: rhs");
+            assert_eq!(bits(&form.costs), bits(&costs), "case {case}: costs");
+            for (j, column) in form.columns.cols.iter().enumerate() {
+                let expected: Vec<(usize, u64)> = matrix
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, row)| row[j] != 0.0)
+                    .map(|(i, row)| (i, row[j].to_bits()))
+                    .collect();
+                let actual: Vec<(usize, u64)> =
+                    column.iter().map(|(i, v)| (*i, v.to_bits())).collect();
+                assert_eq!(actual, expected, "case {case}: column {j}");
+            }
+        }
+    }
+
     #[test]
     fn infeasible_standard_form() {
         // x = 2 and x = 3 simultaneously.
         let form = StandardForm {
-            matrix: vec![vec![r(1, 1)], vec![r(1, 1)]],
-            rhs: vec![r(2, 1), r(3, 1)],
-            costs: vec![r(1, 1)],
             model_columns: vec![(0, None)],
+            ..StandardForm::from_dense_rows(
+                vec![vec![r(1, 1)], vec![r(1, 1)]],
+                vec![r(2, 1), r(3, 1)],
+                vec![r(1, 1)],
+            )
         };
         let sol = solve_standard_form(&form, &Deadline::unlimited(), None);
         assert_eq!(sol.status, LpStatus::Infeasible);
