@@ -7,6 +7,7 @@ use dca_ir::{LocId, LoopNest, TransitionSystem, Update};
 use dca_poly::{LinExpr, VarId};
 
 use crate::polyhedron::Polyhedron;
+use crate::query_cache::{CacheScope, QueryStats};
 
 /// Precision tier of the invariant engine.
 ///
@@ -75,9 +76,16 @@ impl fmt::Display for InvariantTier {
 #[derive(Debug, Clone)]
 pub struct InvariantMap {
     invariants: BTreeMap<LocId, Polyhedron>,
+    queries: QueryStats,
 }
 
 impl InvariantMap {
+    /// How many LP queries the analysis that produced this map asked, and how many of
+    /// them it solved rather than answered from its query cache.
+    pub fn query_stats(&self) -> QueryStats {
+        self.queries
+    }
+
     /// The invariant at a location (`bottom` for locations never seen).
     pub fn at(&self, loc: LocId) -> Polyhedron {
         self.invariants.get(&loc).cloned().unwrap_or_else(Polyhedron::bottom)
@@ -166,7 +174,26 @@ impl InvariantAnalysis {
     ///
     /// The result is a sound over-approximation of the reachable states of `ts`: for
     /// every reachable state `(ℓ, x)` the valuation `x` satisfies the invariant at `ℓ`.
+    ///
+    /// Every LP the polyhedral domain poses during the call is memoized, so a repeated
+    /// feasibility, entailment or minimization question is solved once; the cache is
+    /// dropped when the call returns or unwinds.
     pub fn analyze(&self, ts: &TransitionSystem) -> InvariantMap {
+        let scope = CacheScope::install();
+        let invariants = self.fixpoint(ts);
+        InvariantMap { invariants, queries: scope.stats() }
+    }
+
+    /// [`InvariantAnalysis::analyze`] with every LP solved afresh: the reference the
+    /// cached analysis must reproduce exactly.
+    #[cfg(test)]
+    fn analyze_uncached(&self, ts: &TransitionSystem) -> InvariantMap {
+        let _scope = CacheScope::suspend();
+        InvariantMap { invariants: self.fixpoint(ts), queries: QueryStats::default() }
+    }
+
+    /// Ascent, the tier's narrowing rounds and the final reduction.
+    fn fixpoint(&self, ts: &TransitionSystem) -> BTreeMap<LocId, Polyhedron> {
         let fresh_base = ts.pool().len() as u32 + 16;
         let mut invariants = self.ascend(ts, fresh_base);
         if self.tier >= InvariantTier::Hull {
@@ -184,7 +211,7 @@ impl InvariantAnalysis {
                 *polyhedron = polyhedron.reduce();
             }
         }
-        InvariantMap { invariants }
+        invariants
     }
 
     /// The ascending (widening) fixpoint phase.
@@ -620,6 +647,33 @@ mod tests {
                 "tier {tier}: lost j <= n at the second loop head:\n{}",
                 invariants.render(&ts)
             );
+        }
+    }
+
+    /// The query cache is exact: on both fixtures and at every tier, the cached analysis
+    /// produces the same constraints, in the same order, at every location as a run that
+    /// solves every LP afresh — and the cache did answer some queries.
+    #[test]
+    fn cached_analysis_reproduces_the_uncached_fixpoint_exactly() {
+        for ts in [nested_join(), sequential_loops()] {
+            for tier in InvariantTier::ALL {
+                let analysis = InvariantAnalysis::at_tier(tier);
+                let cached = analysis.analyze(&ts);
+                assert!(!crate::query_cache::installed(), "the cache outlived analyze");
+                let uncached = analysis.analyze_uncached(&ts);
+                assert_eq!(
+                    cached.iter().collect::<Vec<_>>(),
+                    uncached.iter().collect::<Vec<_>>(),
+                    "{} at tier {tier}",
+                    ts.name()
+                );
+                let stats = cached.query_stats();
+                assert!(
+                    stats.solves < stats.queries,
+                    "{} at tier {tier}: no query was answered from the cache ({stats:?})",
+                    ts.name()
+                );
+            }
         }
     }
 

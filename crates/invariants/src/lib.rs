@@ -60,6 +60,8 @@
 
 mod analysis;
 mod polyhedron;
+mod query_cache;
 
 pub use analysis::{InvariantAnalysis, InvariantMap, InvariantTier};
 pub use polyhedron::{interval, Polyhedron};
+pub use query_cache::QueryStats;

@@ -4,12 +4,16 @@ use dca_lp::{ConstraintOp, LpProblem, LpStatus, VarKind};
 use dca_numeric::Rational;
 use dca_poly::{LinExpr, VarId};
 
+use crate::query_cache::{self, LpAnswer};
+
 /// A conjunction of affine inequalities `expr ≥ 0`, or the empty (unreachable) element.
 ///
 /// The element `Top` is represented by an empty constraint list. Emptiness and entailment
-/// are decided with the exact LP backend over the rationals, so the domain operations are
-/// precise with respect to the constraint representation (the only deliberate precision
-/// losses are the weak join, widening, and the cap on Fourier–Motzkin growth).
+/// are decided with small f64 LPs (memoized for the length of one
+/// [`InvariantAnalysis::analyze`](crate::InvariantAnalysis::analyze) call), so the domain
+/// operations are precise with respect to the constraint representation up to the LP
+/// tolerance (the only deliberate precision losses are the weak join, widening, and the
+/// cap on Fourier–Motzkin growth).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Polyhedron {
     /// `None` encodes bottom (unreachable); `Some(cs)` encodes the conjunction of `cs`.
@@ -131,17 +135,17 @@ impl Polyhedron {
             None => true,
             Some(cs) if cs.is_empty() => false,
             Some(cs) => {
-                let (lp, _) = Self::build_lp(cs, None);
                 // Float prescreen: if f64 finds the premise feasible, keep the
                 // transition without paying an exact solve — keeping is always
                 // sound, and feasible premises are the overwhelmingly common
                 // case. Only an f64 infeasibility *suspicion* (which may be a
                 // numerical artifact) escalates to the exact simplex, whose
                 // verdict alone may prune.
-                if lp.solve_f64().status != LpStatus::Infeasible {
+                if Self::feasible(cs) {
                     return false;
                 }
-                lp.solve_exact().status == LpStatus::Infeasible
+                Self::build_lp(cs, &LinExpr::zero()).solve_exact().status
+                    == LpStatus::Infeasible
             }
         }
     }
@@ -153,8 +157,7 @@ impl Polyhedron {
     /// post-solve feasibility downgrade) as "empty" would mark reachable states
     /// unreachable and make the synthesized thresholds unsound.
     fn feasible(constraints: &[LinExpr]) -> bool {
-        let (lp, _) = Self::build_lp(constraints, None);
-        lp.solve_f64().status != LpStatus::Infeasible
+        Self::solve_f64(constraints, &LinExpr::zero()).0 != LpStatus::Infeasible
     }
 
     /// Returns `true` if every point of the polyhedron satisfies `expr ≥ 0`.
@@ -168,22 +171,15 @@ impl Polyhedron {
         if expr.is_constant() {
             return !expr.constant_term().is_negative();
         }
-        let (mut lp, var_of) = Self::build_lp(cs, Some(expr));
-        let objective: Vec<_> = expr
-            .iter()
-            .map(|(v, c)| (var_of(*v), c.clone()))
-            .collect();
-        lp.set_objective(objective);
-        let solution = lp.solve_f64();
-        match solution.status {
-            LpStatus::Optimal => {
-                let min = solution.objective.unwrap_or(0.0) + expr.constant_term().to_f64();
+        match Self::solve_f64(cs, expr) {
+            (LpStatus::Optimal, objective) => {
+                let min = objective.unwrap_or(0.0) + expr.constant_term().to_f64();
                 min >= -1e-6
             }
-            LpStatus::Infeasible => true,
+            (LpStatus::Infeasible, _) => true,
             // Unbounded below means some point violates expr >= 0; a non-converged
             // solve must conservatively answer "not entailed".
-            LpStatus::Unbounded | LpStatus::IterationLimit | LpStatus::TimedOut => false,
+            (LpStatus::Unbounded | LpStatus::IterationLimit | LpStatus::TimedOut, _) => false,
         }
     }
 
@@ -312,15 +308,8 @@ impl Polyhedron {
     /// `direction` is ignored). `None` for bottom, unbounded, or a non-converged solve.
     fn minimize(&self, direction: &LinExpr) -> Option<f64> {
         let cs = self.constraints.as_ref()?;
-        let (mut lp, var_of) = Self::build_lp(cs, Some(direction));
-        let objective: Vec<_> = direction
-            .iter()
-            .map(|(v, c)| (var_of(*v), c.clone()))
-            .collect();
-        lp.set_objective(objective);
-        let solution = lp.solve_f64();
-        match solution.status {
-            LpStatus::Optimal => solution.objective,
+        match Self::solve_f64(cs, direction) {
+            (LpStatus::Optimal, objective) => objective,
             _ => None,
         }
     }
@@ -503,16 +492,22 @@ impl Polyhedron {
         Polyhedron { constraints: Some(kept) }
     }
 
-    /// Builds the LP "all constraints hold" over the variables mentioned, mapping each
-    /// program variable to a free LP variable. Returns the problem and the mapping.
-    fn build_lp(
-        constraints: &[LinExpr],
-        extra: Option<&LinExpr>,
-    ) -> (LpProblem, impl Fn(VarId) -> dca_lp::LpVar) {
+    /// Solves "minimize `objective` subject to `constraints`" with the f64 backend, or
+    /// answers it from the running analysis's query cache. A constant `objective` (zero
+    /// for the feasibility checks) poses a pure feasibility problem; the objective's
+    /// constant term never reaches the LP.
+    fn solve_f64(constraints: &[LinExpr], objective: &LinExpr) -> LpAnswer {
+        query_cache::answer(constraints, objective, || {
+            let solution = Self::build_lp(constraints, objective).solve_f64();
+            (solution.status, solution.objective)
+        })
+    }
+
+    /// Builds the LP "minimize `objective` subject to all constraints" over the
+    /// variables mentioned, mapping each program variable to a free LP variable.
+    fn build_lp(constraints: &[LinExpr], objective: &LinExpr) -> LpProblem {
         let mut vars: Vec<VarId> = constraints.iter().flat_map(LinExpr::vars).collect();
-        if let Some(e) = extra {
-            vars.extend(e.vars());
-        }
+        vars.extend(objective.vars());
         vars.sort();
         vars.dedup();
         let mut lp = LpProblem::new();
@@ -526,8 +521,8 @@ impl Polyhedron {
             let terms: Vec<_> = c.iter().map(|(v, coef)| (mapping[v], coef.clone())).collect();
             lp.add_constraint(terms, ConstraintOp::Ge, -c.constant_term().clone());
         }
-        let map_clone = mapping.clone();
-        (lp, move |v: VarId| map_clone[&v])
+        lp.set_objective(objective.iter().map(|(v, c)| (mapping[v], c.clone())).collect());
+        lp
     }
 
     /// Renders the polyhedron with variable names from a pool.

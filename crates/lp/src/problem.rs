@@ -346,7 +346,8 @@ impl LpProblem {
         if result.status == LpStatus::Optimal && !self.roughly_feasible_f64(&result.values) {
             if std::env::var("DCA_LP_DEBUG").is_ok() {
                 eprintln!(
-                    "[lp] optimal solution failed the model-level feasibility re-check                      (truncated = {}); downgrading to IterationLimit",
+                    "[lp] optimal solution failed the model-level feasibility re-check \
+                     (truncated = {}); downgrading to IterationLimit",
                     result.info.truncated
                 );
             }

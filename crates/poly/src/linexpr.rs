@@ -28,7 +28,7 @@ use crate::Valuation;
 /// let e = LinExpr::var(x) - LinExpr::constant(Rational::from_int(3));
 /// assert_eq!(e.to_string(&pool), "x - 3");
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct LinExpr {
     constant: Rational,
     coeffs: BTreeMap<VarId, Rational>,
